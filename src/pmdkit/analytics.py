@@ -2,38 +2,38 @@
 
 Per-slot miss probability for a slot-level spend theta:
 
-    q(theta) = cdf(x_star - sqrt(M) * mu(gamma(theta)))
+    q(theta) = cdf(u),   u = x_star - sqrt(M) * mu(gamma(theta))
 
 with gamma(theta) = theta/M or theta depending on the scenario convention,
-and q0 = cdf(x_star - sqrt(M) * mu(0)) for post-transient slots. The
-missed-detection probability over the K-slot window is
+and q0 = q(0) = cdf(x_star - sqrt(M) * mu(0)) for post-transient slots.
+The missed-detection probability over the K-slot window is
 
-    Q(theta) = q(theta)^L * q0^(K - L),      r = log Q,
+    Q(theta) = q(theta)^L * q0^(K - L),      r = log Q.
 
-computed in log space throughout so large K cannot underflow.
+Every quantity comes from one array-first kernel, _kernel, which works
+in log space: log q = log_cdf(u), and with the Mills ratio
+lam = exp(log pdf(u) - log cdf(u)) and u' = du/dtheta,
 
-Derivatives in theta (cf = d gamma / d theta is the convention's
-chain-rule constant, u = x_star - sqrt(M) * mu(gamma)):
+    d log q / dtheta   = lam * u'
+    d2 log q / dtheta2 = -lam * (u + lam) * u'^2 + lam * u''
+    dr/dtheta          = L' * (log q - log q0) + L * d log q / dtheta
 
-    dq/dtheta   = -sqrt(M) * pdf(u) * mu'(gamma) * cf
-    d2q/dtheta2 = -u * pdf(u) * M * (mu'(gamma) * cf)^2
-                  - sqrt(M) * pdf(u) * mu''(gamma) * cf^2
-    dr/dtheta   = L' * log(q/q0) + (L/q) * dq/dtheta
-
-All return values are plain floats inside frozen dataclasses; the only
-array entry point is pmd_curve, which vectorizes the same formulas over a
-theta grid.
+so neither q nor q0 underflowing to 0 stops r or its derivatives. The
+public functions validate their arguments and are thin views over the
+kernel; internal callers (the optimizer) call the kernel directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from . import stdnorm
-from .errors import DomainError, TransientExceedsWindowError, UnsupportedFamilyError
+from .errors import DomainError, TransientExceedsWindowError
 from .model import AttackScenario
 
 _L_SLACK = 1e-9  # tolerance when checking L(theta) <= K at the boundary
@@ -71,10 +71,94 @@ class PmdCurve:
     r: np.ndarray
 
 
+class _Slot(NamedTuple):
+    """Kernel output at one theta or elementwise over an array of them."""
+
+    q: float | np.ndarray
+    log_q: float | np.ndarray
+    log_q0: float
+    dlog_q: float | np.ndarray
+    d2log_q: float | np.ndarray
+
+
+def _kernel(scenario: AttackScenario, theta) -> _Slot:
+    """Per-slot quantities at theta (float or ndarray), unchecked.
+
+    q is reported as cdf(u) directly, which is more accurate than
+    exp(log q) in the central range; everything else stays in log space.
+    """
+    det = scenario.detector
+    sqrt_m = math.sqrt(det.M)
+    cf = scenario.gamma_slope
+    # numpy arithmetic overflows to inf where Python floats would raise
+    mu, mu1, mu2 = scenario.mean._profile(scenario.gamma(np.asarray(theta, dtype=float)))
+    u = det.x_star - sqrt_m * mu
+    du = -sqrt_m * mu1 * cf
+    d2u = -sqrt_m * mu2 * cf**2
+    log_q = special.log_ndtr(u)
+    # mu(0) = c for every mean family
+    log_q0 = special.log_ndtr(det.x_star - sqrt_m * scenario.mean.c)
+    lam = np.exp(-0.5 * u * u - stdnorm.LOG_SQRT_2PI - log_q)
+    return _Slot(
+        q=special.ndtr(u),
+        log_q=log_q,
+        log_q0=log_q0,
+        dlog_q=lam * du,
+        d2log_q=-lam * (u + lam) * du**2 + lam * d2u,
+    )
+
+
+def _transient_length(scenario: AttackScenario, theta) -> np.ndarray:
+    """L(theta), float or elementwise, refusing a transient longer than K."""
+    length = np.asarray(scenario.transient.value(theta), dtype=float)
+    if (length > scenario.detector.K + _L_SLACK).any():
+        raise TransientExceedsWindowError(
+            f"transient L = {np.max(length):.6g} exceeds the window K = "
+            f"{scenario.detector.K}"
+        )
+    return length
+
+
+def _log_pmd(scenario: AttackScenario, theta, length=None):
+    """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)."""
+    if length is None:
+        length = _transient_length(scenario, theta)
+    slot = _kernel(scenario, theta)
+    return length, slot, length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
+
+
+def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = None) -> PmdPoint:
+    """pmd without argument checks, for callers that produced theta."""
+    length, _, r = _log_pmd(scenario, theta, length)
+    return PmdPoint(theta=theta, L=float(length), Q=math.exp(r), r=float(r))
+
+
+def _log_pmd_slopes(scenario: AttackScenario, theta: float) -> tuple[float, float]:
+    """(dr/dtheta, d2r/dtheta2) from one kernel call, unchecked."""
+    transient = scenario.transient
+    length = _transient_length(scenario, theta)
+    d1 = transient.derivative(theta)
+    d2 = transient.second_derivative(theta)
+    slot = _kernel(scenario, theta)
+    log_ratio = slot.log_q - slot.log_q0
+    slope = d1 * log_ratio + length * slot.dlog_q
+    curvature = d2 * log_ratio + 2.0 * d1 * slot.dlog_q + length * slot.d2log_q
+    return float(slope), float(curvature)
+
+
+def _check_theta(theta, lo: float, hi: float, strict: bool = False) -> float:
+    """theta as a float, refused unless it lies in [lo, hi] (or strictly inside)."""
+    theta = float(theta)
+    inside = lo < theta < hi if strict else lo - 1e-12 <= theta <= hi + 1e-12
+    if not inside:  # also refuses nan
+        where = "strictly inside" if strict else "in"
+        raise DomainError(f"theta must lie {where} [{lo}, {hi}], got {theta!r}")
+    return theta
+
+
 def q0(scenario: AttackScenario) -> float:
     """Post-transient per-slot miss probability (full shift mu(0))."""
-    det = scenario.detector
-    return float(stdnorm.cdf(det.x_star - math.sqrt(det.M) * scenario.mean.value(0.0)))
+    return float(np.exp(_kernel(scenario, 0.0).log_q0))
 
 
 def slot_miss(scenario: AttackScenario, theta: float) -> SlotMiss:
@@ -83,34 +167,16 @@ def slot_miss(scenario: AttackScenario, theta: float) -> SlotMiss:
     theta = 0 is allowed (it reproduces q0); theta may not exceed the
     scenario's theta_max.
     """
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0.0 or theta > scenario.theta_max + 1e-12:
-        raise DomainError(
-            f"theta must lie in [0, theta_max={scenario.theta_max}], got {theta!r}"
-        )
-    det = scenario.detector
-    sqrt_m = math.sqrt(det.M)
-    cf = scenario.gamma_slope
-    g = scenario.gamma(theta)
-    mu = float(scenario.mean.value(g))
-    mu1 = float(scenario.mean.derivative(g))
-    mu2 = float(scenario.mean.second_derivative(g))
-    u = det.x_star - sqrt_m * mu
-    q = float(stdnorm.cdf(u))
-    dens = float(stdnorm.pdf(u))
-    dq = -sqrt_m * dens * mu1 * cf
-    d2q = -u * dens * det.M * (mu1 * cf) ** 2 - sqrt_m * dens * mu2 * cf**2
-    return SlotMiss(theta=theta, q_theta=q, q0=q0(scenario), dq_dtheta=dq, d2q_dtheta2=d2q)
-
-
-def _transient_length(scenario: AttackScenario, theta: float) -> float:
-    length = float(scenario.transient.value(theta))
-    if length > scenario.detector.K + _L_SLACK:
-        raise TransientExceedsWindowError(
-            f"transient L({theta:.6g}) = {length:.6g} exceeds the window K = "
-            f"{scenario.detector.K}"
-        )
-    return length
+    theta = _check_theta(theta, 0.0, scenario.theta_max)
+    slot = _kernel(scenario, theta)
+    q = float(slot.q)
+    return SlotMiss(
+        theta=theta,
+        q_theta=q,
+        q0=float(np.exp(slot.log_q0)),
+        dq_dtheta=float(q * slot.dlog_q),
+        d2q_dtheta2=float(q * (slot.d2log_q + slot.dlog_q**2)),
+    )
 
 
 def pmd(scenario: AttackScenario, theta: float, transient_slots: int | None = None) -> PmdPoint:
@@ -120,85 +186,41 @@ def pmd(scenario: AttackScenario, theta: float, transient_slots: int | None = No
     number of transient slots; the simulator truncates L that way, and
     passing floor(L) here aligns the closed form with it.
     """
-    theta = float(theta)
-    if not scenario.theta_min - 1e-12 <= theta <= scenario.theta_max + 1e-12:
-        raise DomainError(
-            f"theta must lie in [{scenario.theta_min}, {scenario.theta_max}], got {theta!r}"
-        )
-    if transient_slots is None:
-        length = _transient_length(scenario, theta)
-    else:
+    theta = _check_theta(theta, scenario.theta_min, scenario.theta_max)
+    if transient_slots is not None:
         if int(transient_slots) != transient_slots or transient_slots < 0:
             raise DomainError("transient_slots must be a nonnegative integer")
-        length = float(transient_slots)
-        if length > scenario.detector.K:
+        if transient_slots > scenario.detector.K:
             raise TransientExceedsWindowError(
                 f"transient_slots = {transient_slots} exceeds the window K = "
                 f"{scenario.detector.K}"
             )
-    miss = slot_miss(scenario, theta)
-    k = scenario.detector.K
-    r = length * math.log(miss.q_theta / miss.q0) + k * math.log(miss.q0)
-    return PmdPoint(theta=theta, L=length, Q=math.exp(r), r=r)
+        transient_slots = float(transient_slots)
+    return _pmd_point(scenario, theta, transient_slots)
 
 
 def pmd_curve(scenario: AttackScenario, thetas) -> PmdCurve:
-    """Vectorized PMD over a theta grid (same formulas as pmd)."""
+    """Vectorized PMD over a theta grid (same kernel as pmd)."""
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1 or th.size == 0:
         raise DomainError("thetas must be a non-empty 1-d array")
-    if not np.all(np.isfinite(th)):
-        raise DomainError("thetas must be finite")
-    if np.any(th < scenario.theta_min - 1e-12) or np.any(th > scenario.theta_max + 1e-12):
-        raise DomainError(
-            f"thetas must lie in [{scenario.theta_min}, {scenario.theta_max}]"
-        )
-    det = scenario.detector
-    sqrt_m = math.sqrt(det.M)
-    length = np.asarray(scenario.transient.value(th), dtype=float)
-    if np.any(length > det.K + _L_SLACK):
-        raise TransientExceedsWindowError("transient exceeds the window K on the grid")
-    q = stdnorm.cdf(det.x_star - sqrt_m * scenario.mean.value(scenario.gamma(th)))
-    base = q0(scenario)
-    r = length * np.log(q / base) + det.K * math.log(base)
-    return PmdCurve(theta=th, L=length, q_theta=q, Q=np.exp(r), r=r)
+    lo, hi = scenario.theta_min, scenario.theta_max
+    if not ((th >= lo - 1e-12) & (th <= hi + 1e-12)).all():  # also refuses nan
+        raise DomainError(f"thetas must be finite and lie in [{lo}, {hi}]")
+    length, slot, r = _log_pmd(scenario, th)
+    return PmdCurve(theta=th, L=length, q_theta=slot.q, Q=np.exp(r), r=r)
 
 
 def log_pmd_derivative(scenario: AttackScenario, theta: float) -> float:
     """dr/dtheta at an interior theta; zero exactly at the worst case."""
-    theta = float(theta)
-    if not scenario.theta_min < theta < scenario.theta_max:
-        raise DomainError(
-            f"theta must lie strictly inside ({scenario.theta_min}, {scenario.theta_max})"
-        )
-    if scenario.transient.family == "budget_floor":
-        raise UnsupportedFamilyError("budget_floor transient has no derivative in theta")
-    miss = slot_miss(scenario, theta)
-    length = _transient_length(scenario, theta)
-    dlength = float(scenario.transient.derivative(theta))
-    return dlength * math.log(miss.q_theta / miss.q0) + length / miss.q_theta * miss.dq_dtheta
+    theta = _check_theta(theta, scenario.theta_min, scenario.theta_max, strict=True)
+    return _log_pmd_slopes(scenario, theta)[0]
 
 
 def log_pmd_second_derivative(scenario: AttackScenario, theta: float) -> float:
     """d2r/dtheta2 at an interior theta (used to polish the critical point)."""
-    theta = float(theta)
-    if not scenario.theta_min < theta < scenario.theta_max:
-        raise DomainError(
-            f"theta must lie strictly inside ({scenario.theta_min}, {scenario.theta_max})"
-        )
-    if scenario.transient.family == "budget_floor":
-        raise UnsupportedFamilyError("budget_floor transient has no derivative in theta")
-    miss = slot_miss(scenario, theta)
-    length = _transient_length(scenario, theta)
-    d1 = float(scenario.transient.derivative(theta))
-    d2 = float(scenario.transient.second_derivative(theta))
-    q, dq, d2q = miss.q_theta, miss.dq_dtheta, miss.d2q_dtheta2
-    return (
-        d2 * math.log(q / miss.q0)
-        + 2.0 * d1 * dq / q
-        - length * (dq / q) ** 2
-        + length * d2q / q
-    )
+    theta = _check_theta(theta, scenario.theta_min, scenario.theta_max, strict=True)
+    return _log_pmd_slopes(scenario, theta)[1]
 
 
 def allocation_miss(scenario: AttackScenario, allocations) -> float:

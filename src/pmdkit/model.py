@@ -31,8 +31,28 @@ def _require_positive(value: float, name: str) -> float:
     return value
 
 
+class _Profile:
+    """value, derivative and second_derivative of a model family: checked
+    views over the subclass's unchecked _profile(x) = (f, f', f'')."""
+
+    def _view(self, x, order: int) -> float | np.ndarray:
+        out = self._profile(self._check(x))[order]
+        if out is None:
+            raise UnsupportedFamilyError(f"{self.family} transient is not differentiable")
+        return float(out) if np.ndim(x) == 0 else out
+
+    def value(self, x) -> float | np.ndarray:
+        return self._view(x, 0)
+
+    def derivative(self, x) -> float | np.ndarray:
+        return self._view(x, 1)
+
+    def second_derivative(self, x) -> float | np.ndarray:
+        return self._view(x, 2)
+
+
 @dataclass(frozen=True)
-class MeanProfile:
+class MeanProfile(_Profile):
     """Per-sensor mean shift mu(z) as a function of invested resources z.
 
     rational:    mu(z) = c / (1 + k z)
@@ -55,37 +75,21 @@ class MeanProfile:
 
     def _check(self, z) -> np.ndarray:
         arr = np.asarray(z, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        if not (np.isfinite(arr) & (arr >= 0.0)).all():
             raise DomainError("resource rate z must be finite and >= 0")
         return arr
 
-    def value(self, z) -> float | np.ndarray:
-        arr = self._check(z)
+    def _profile(self, z):
+        """(mu, mu', mu'') at z, unchecked; callers validate z."""
         if self.family == "rational":
-            out = self.c / (1.0 + self.k * arr)
-        else:
-            out = self.c * np.exp(-self.k * arr)
-        return float(out) if np.ndim(z) == 0 else out
-
-    def derivative(self, z) -> float | np.ndarray:
-        arr = self._check(z)
-        if self.family == "rational":
-            out = -self.c * self.k / (1.0 + self.k * arr) ** 2
-        else:
-            out = -self.c * self.k * np.exp(-self.k * arr)
-        return float(out) if np.ndim(z) == 0 else out
-
-    def second_derivative(self, z) -> float | np.ndarray:
-        arr = self._check(z)
-        if self.family == "rational":
-            out = 2.0 * self.c * self.k**2 / (1.0 + self.k * arr) ** 3
-        else:
-            out = self.c * self.k**2 * np.exp(-self.k * arr)
-        return float(out) if np.ndim(z) == 0 else out
+            d = 1.0 + self.k * z
+            return self.c / d, -self.c * self.k / d**2, 2.0 * self.c * (self.k * self.k) / d**3
+        e = np.exp(-self.k * z)
+        return self.c * e, -self.c * self.k * e, self.c * (self.k * self.k) * e
 
 
 @dataclass(frozen=True)
-class TransientModel:
+class TransientModel(_Profile):
     """Transient length L(theta): slots the budget lasts at spend rate theta.
 
     reciprocal:   L = A / theta        (real-valued relaxation)
@@ -114,39 +118,18 @@ class TransientModel:
 
     def _check(self, theta) -> np.ndarray:
         arr = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not (np.isfinite(arr) & (arr > 0.0)).all():
             raise DomainError("theta must be finite and > 0")
         return arr
 
-    def value(self, theta) -> float | np.ndarray:
-        arr = self._check(theta)
+    def _profile(self, theta):
+        """(L, L', L'') at theta, unchecked; budget_floor has no derivatives."""
         if self.family == "reciprocal":
-            out = self.A / arr
-        elif self.family == "exponential":
-            out = self.a * np.exp(-arr)
-        else:
-            out = np.floor(self.A / arr)
-        return float(out) if np.ndim(theta) == 0 else out
-
-    def derivative(self, theta) -> float | np.ndarray:
-        arr = self._check(theta)
-        if self.family == "reciprocal":
-            out = -self.A / arr**2
-        elif self.family == "exponential":
-            out = -self.a * np.exp(-arr)
-        else:
-            raise UnsupportedFamilyError("budget_floor transient is not differentiable")
-        return float(out) if np.ndim(theta) == 0 else out
-
-    def second_derivative(self, theta) -> float | np.ndarray:
-        arr = self._check(theta)
-        if self.family == "reciprocal":
-            out = 2.0 * self.A / arr**3
-        elif self.family == "exponential":
-            out = self.a * np.exp(-arr)
-        else:
-            raise UnsupportedFamilyError("budget_floor transient is not differentiable")
-        return float(out) if np.ndim(theta) == 0 else out
+            return self.A / theta, -self.A / theta**2, 2.0 * self.A / theta**3
+        if self.family == "exponential":
+            e = np.exp(-theta)
+            return self.a * e, -self.a * e, self.a * e
+        return np.floor(self.A / theta), None, None
 
 
 @dataclass(frozen=True)

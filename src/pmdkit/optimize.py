@@ -4,14 +4,17 @@ probability, and the value there.
 For the two closed-form transient families, dr/dtheta factors through a
 strictly decreasing function b(theta) whose sign matches dr/dtheta:
 
-    reciprocal  (L = A/theta):     b = -log(q/q0) + (theta/q) dq/dtheta
-    exponential (L = a e^-theta):  b = -log(q/q0) + (1/q)    dq/dtheta
+    reciprocal  (L = A/theta):     b = -(log q - log q0) + theta * d log q/dtheta
+    exponential (L = a e^-theta):  b = -(log q - log q0) +         d log q/dtheta
 
 so the critical point is the unique root of b, bracketed by bisection
 (unconditionally convergent on a monotone function) and polished with a
 few Newton steps on dr/dtheta. When b has constant sign over the domain,
 r is monotone there and the maximizer sits on the boundary; that result
-is returned flagged rather than treated as an error.
+is returned flagged rather than treated as an error. b is evaluated from
+the log-space kernel in analytics, so it stays finite where q and q0
+underflow; only a non-finite log q (an overflowing shift) makes the
+solver raise NumericalError.
 
 Note a structural fact about the reciprocal family: q(0) = q0 makes
 b(0) = 0 exactly, and b strictly decreases, so b < 0 on all theta > 0.
@@ -31,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import (
-    PmdPoint,
-    log_pmd_derivative,
-    log_pmd_second_derivative,
-    pmd,
-    slot_miss,
-)
+from .analytics import PmdPoint, _check_theta, _kernel, _log_pmd, _log_pmd_slopes, _pmd_point
 from .errors import NonUnimodalError, NumericalError, UnsupportedFamilyError
 from .model import AttackScenario
 
@@ -78,41 +75,41 @@ class CriticalPoint:
     method: str = "bisect-newton"
 
 
-def b_function(scenario: AttackScenario, theta: float) -> float:
-    """Monotone-decreasing root function whose zero is the critical point."""
+def _b(scenario: AttackScenario, theta: float) -> float:
+    """b at theta, unchecked in theta."""
     family = scenario.transient.family
     if family not in CLOSED_FORM_FAMILIES:
         raise UnsupportedFamilyError(
-            f"b_function is defined for {CLOSED_FORM_FAMILIES}; "
+            f"b is defined for {CLOSED_FORM_FAMILIES}; "
             f"use maximize_unimodal for family {family!r}"
         )
-    miss = slot_miss(scenario, theta)
-    if miss.q_theta <= 0.0 or miss.q0 <= 0.0:
-        return math.nan  # probabilities underflowed; caller reports diagnostics
-    ratio_term = miss.dq_dtheta / miss.q_theta
-    if family == "reciprocal":
-        ratio_term *= theta
-    return -math.log(miss.q_theta / miss.q0) + ratio_term
+    slot = _kernel(scenario, theta)
+    scale = theta if family == "reciprocal" else 1.0
+    return float(-(slot.log_q - slot.log_q0) + scale * slot.dlog_q)
+
+
+def b_function(scenario: AttackScenario, theta: float) -> float:
+    """Monotone-decreasing root function whose zero is the critical point."""
+    return _b(scenario, _check_theta(theta, 0.0, scenario.theta_max))
 
 
 def _fixed_point_residual(scenario: AttackScenario, theta: float) -> float:
-    """Residual of the rearranged b = 0 identity at theta."""
-    miss = slot_miss(scenario, theta)
-    log_ratio = math.log(miss.q_theta / miss.q0)
+    """Residual of the rearranged b = 0 identity at theta (q'/q = d log q)."""
+    slot = _kernel(scenario, theta)
+    q, dlog_q, log_ratio = float(slot.q), float(slot.dlog_q), float(slot.log_q - slot.log_q0)
     if scenario.transient.family == "reciprocal":
-        if miss.dq_dtheta == 0.0:
+        if dlog_q == 0.0:
             return math.nan
-        return abs(theta - miss.q_theta * log_ratio / miss.dq_dtheta)
+        return abs(theta - log_ratio / dlog_q)
     if log_ratio == 0.0:
         return math.nan
-    return abs(miss.q_theta - miss.dq_dtheta / log_ratio)
+    return abs(q - q * dlog_q / log_ratio)
 
 
 def _newton_polish(scenario: AttackScenario, theta: float, lo: float, hi: float) -> float:
     """A few Newton steps on dr/dtheta, confined to (lo, hi)."""
     for _ in range(NEWTON_POLISH_STEPS):
-        slope = log_pmd_derivative(scenario, theta)
-        curvature = log_pmd_second_derivative(scenario, theta)
+        slope, curvature = _log_pmd_slopes(scenario, theta)
         if curvature == 0.0 or not (math.isfinite(slope) and math.isfinite(curvature)):
             break
         candidate = theta - slope / curvature
@@ -123,7 +120,7 @@ def _newton_polish(scenario: AttackScenario, theta: float, lo: float, hi: float)
 
 
 def _boundary_point(scenario: AttackScenario, theta: float, b_value: float) -> CriticalPoint:
-    point = pmd(scenario, theta)
+    point = _pmd_point(scenario, theta)
     return CriticalPoint(
         theta_star=theta,
         Q_star=point.Q,
@@ -144,8 +141,8 @@ def find_critical_point(scenario: AttackScenario) -> CriticalPoint:
     is returned with boundary=True.
     """
     lo, hi = scenario.theta_min, scenario.theta_max
-    b_lo = b_function(scenario, lo)
-    b_hi = b_function(scenario, hi)
+    b_lo = _b(scenario, lo)
+    b_hi = _b(scenario, hi)
     if not (math.isfinite(b_lo) and math.isfinite(b_hi)):
         raise NumericalError(
             f"b is not finite at the domain edges: b({lo}) = {b_lo}, b({hi}) = {b_hi}"
@@ -158,7 +155,7 @@ def find_critical_point(scenario: AttackScenario) -> CriticalPoint:
     iterations = 0
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        b_mid = b_function(scenario, mid)
+        b_mid = _b(scenario, mid)
         if not math.isfinite(b_mid):
             raise NumericalError(f"b({mid}) is not finite during bisection")
         if b_mid > 0.0:
@@ -168,11 +165,11 @@ def find_critical_point(scenario: AttackScenario) -> CriticalPoint:
         iterations += 1
 
     theta = _newton_polish(scenario, 0.5 * (lo + hi), lo, hi)
-    point = pmd(scenario, theta)
+    point = _pmd_point(scenario, theta)
     return CriticalPoint(
         theta_star=theta,
         Q_star=point.Q,
-        b_residual=abs(b_function(scenario, theta)),
+        b_residual=abs(_b(scenario, theta)),
         fixed_point_residual=_fixed_point_residual(scenario, theta),
         iterations=iterations,
         bracket=(lo, hi),
@@ -205,7 +202,7 @@ def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
     """
     tmin, tmax = scenario.theta_min, scenario.theta_max
     grid = np.linspace(tmin, tmax, _SCREEN_POINTS)
-    r_grid = np.array([pmd(scenario, t).r for t in grid])
+    _, _, r_grid = _log_pmd(scenario, grid)
     if not np.all(np.isfinite(r_grid)):
         raise NumericalError("r is not finite on the screening grid")
     peak = _assert_unimodal(r_grid)
@@ -215,7 +212,7 @@ def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
     width_target = GOLDEN_REL_WIDTH * (tmax - tmin)
 
     def r_of(t: float) -> float:
-        return pmd(scenario, t).r
+        return _pmd_point(scenario, t).r
 
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
@@ -245,14 +242,14 @@ def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
         # polish is confined to the domain instead)
         try:
             theta = _newton_polish(scenario, theta, tmin, tmax)
-            fp_res = abs(log_pmd_derivative(scenario, theta))
+            fp_res = abs(_log_pmd_slopes(scenario, theta)[0])
         except (UnsupportedFamilyError, AttributeError):
             fp_res = math.nan
         lo, hi = min(lo, theta) - width_target, max(hi, theta) + width_target
 
-    point = pmd(scenario, theta)
+    point = _pmd_point(scenario, theta)
     family = scenario.transient.family
-    b_res = abs(b_function(scenario, theta)) if family in CLOSED_FORM_FAMILIES else math.nan
+    b_res = abs(_b(scenario, theta)) if family in CLOSED_FORM_FAMILIES else math.nan
     return CriticalPoint(
         theta_star=theta,
         Q_star=point.Q,
@@ -281,4 +278,4 @@ def solve(scenario: AttackScenario) -> CriticalPoint:
 def worst_case_pmd(scenario: AttackScenario) -> PmdPoint:
     """Missed-detection probability at the adversary's best spend rate."""
     critical = solve(scenario)
-    return pmd(scenario, critical.theta_star)
+    return _pmd_point(scenario, critical.theta_star)

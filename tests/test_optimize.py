@@ -1,9 +1,11 @@
 """Worst-case solver: root function, bisection+Newton, golden section."""
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from pmdkit import (
     find_critical_point,
     log_pmd_derivative,
     maximize_unimodal,
+    min_sensors,
+    pmd,
     pmd_curve,
+    q0,
+    scenario_with_sensors,
     worst_case_pmd,
 )
 from pmdkit.optimize import solve
@@ -209,18 +215,84 @@ def test_golden_section_detects_non_unimodal_profile():
         maximize_unimodal(scenario)
 
 
-def test_non_finite_b_raises_numerical_error():
-    # a huge calibrated shift drives q and q0 to exact zero, so the log
-    # ratio in b is 0/0: the solver must surface that, not bisect noise
-    scenario = AttackScenario(
-        mean=MeanProfile("rational", c=10.0, k=10.0),
+def deep_tail_scenario(c=10.0):
+    # sqrt(M) * c = 70.7: q and q0 underflow to exact zero, log q0 ~ -2075.5
+    return AttackScenario(
+        mean=MeanProfile("rational", c=c, k=10.0),
         transient=TransientModel("reciprocal", A=1.5),
         detector=DetectorConfig(alpha=1e-10, M=50, K=15),
         theta_min=0.1,
         theta_max=1.5,
     )
+
+
+def test_deep_tail_solves_in_log_space_against_mpmath():
+    scenario = deep_tail_scenario()
+    det = scenario.detector
+    mpmath.mp.dps = 50
+
+    def log_q(theta):
+        # the same chain in 50-digit arithmetic, from the detector's own x_star
+        mu = mpmath.mpf(10) / (1 + 10 * mpmath.mpf(theta) / det.M)
+        return mpmath.log(mpmath.ncdf(mpmath.mpf(det.x_star) - mpmath.sqrt(det.M) * mu))
+
+    log_q0 = log_q(0)
+    assert q0(scenario) == 0.0
+    # with no transient slots r = K log q0
+    assert pmd(scenario, 0.5, transient_slots=0).r / det.K == pytest.approx(float(log_q0), rel=1e-12)
+
+    result = solve(scenario)
+    assert result.boundary and result.theta_star == scenario.theta_min
+    assert result.Q_star == 0.0  # Q underflows; r does not
+    point = pmd(scenario, result.theta_star)
+    r_ref = point.L * (log_q(point.theta) - log_q0) + det.K * log_q0
+    assert point.r == pytest.approx(float(r_ref), rel=1e-12)
+
+
+def test_non_finite_b_raises_numerical_error():
+    # an overflowing shift makes log q = log q0 = -inf, so b is nan: the
+    # solver must surface that, not bisect noise
     with pytest.raises(NumericalError):
-        find_critical_point(scenario)
+        find_critical_point(deep_tail_scenario(c=1e200))
+
+
+@pytest.mark.parametrize("shift", [45.0, 60.0])
+@pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
+def test_deep_tail_scenarios_stay_finite(transient, mean, shift):
+    # sqrt(M) * c as in the benchmark's deep-tail share; every closed-form
+    # entry point must return a finite r instead of raising
+    base = make_scenario(transient, mean)
+    scenario = dataclasses.replace(base, mean=MeanProfile(mean, c=shift / 5.0, k=10.0))
+    grid = np.linspace(scenario.theta_min, scenario.theta_max, 200)
+    assert np.all(np.isfinite(pmd_curve(scenario, grid).r))
+    solved, golden = solve(scenario), maximize_unimodal(scenario)
+    for result in (solved, golden):
+        assert math.isfinite(pmd(scenario, result.theta_star).r)
+    if not solved.boundary:
+        width = scenario.theta_max - scenario.theta_min
+        assert abs(solved.theta_star - golden.theta_star) <= 1e-6 * width
+    sizing = min_sensors(scenario, 1e-6, 10_000)
+    worst = worst_case_pmd(scenario_with_sensors(scenario, sizing.M_min))
+    assert math.isfinite(worst.r) and worst.Q <= 1e-6
+
+
+def test_solve_raises_only_numerical_error_on_extreme_finite_inputs():
+    outcomes = []
+    for mean, transient, c, k, alpha, m in itertools.product(
+        ("rational", "exponential"), ("reciprocal", "exponential"),
+        (1e-300, 10.0, 1e200, 1e308), (1e-300, 1e308), (1e-15, 0.5), (1, 100_000),
+    ):
+        base = make_scenario(transient, mean)
+        scenario = dataclasses.replace(
+            base,
+            mean=MeanProfile(mean, c=c, k=k),
+            detector=DetectorConfig(alpha=alpha, M=m, K=15),
+        )
+        try:
+            outcomes.append(math.isfinite(solve(scenario).theta_star))
+        except NumericalError:
+            outcomes.append(False)
+    assert any(outcomes)
 
 
 # --- dispatch -----------------------------------------------------------------
