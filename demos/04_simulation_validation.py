@@ -1,8 +1,9 @@
 """Trust, then verify: the Monte Carlo oracle.
 
 Every closed-form quantity in the library has an independent empirical
-counterpart: simulate the M sensors slot by slot, sum their readings,
-apply the threshold, count. This script reproduces the headline numbers
+counterpart: simulate each slot's summed sensor reading (the sum of M
+unit-variance Gaussians is one Gaussian of variance M), apply the
+threshold, count. This script reproduces the headline numbers
 that way and demonstrates the reproducibility contract (same seed, same
 bits, regardless of shard count).
 """

@@ -1,16 +1,25 @@
 """Empirical oracle: simulate the sensor network and the stopping rule.
 
+The detector only sees each slot's sum of M unit-variance sensor readings,
+and the sum of M independent N(mu_i, 1) is exactly N(sum mu_i, M). So a
+slot costs one standard normal z, scaled to sqrt(M) * z + sum mu_i, and a
+K-slot run K normals, not K * M. Slot sums stay Gaussian variates compared
+with h: the oracle never evaluates the closed forms it checks.
+
 Reproducibility contract
 ------------------------
 Runs are processed in fixed-size blocks. Block b of a simulation seeded
 with s draws from ``Philox(key = (s << 64) | b)``, a counter-based
 generator, and normal variates come from numpy's ``standard_normal``
-(ziggurat transform of that stream). Each block therefore depends only on
-(seed, block index, block size), and block sizes are compile-time
-constants, so estimates are bit-identical across reruns and across any
-shard count: shards merely group whole blocks, and the reduction is an
-integer sum. Sharded execution uses threads (numpy releases the GIL while
-filling arrays); the result never depends on completion order.
+(ziggurat transform of that stream), one per slot and run. Each block
+therefore depends only on (seed, block index, block size), and block
+sizes are compile-time constants, so estimates are bit-identical across
+reruns and across any shard count: shards merely group whole blocks, and
+the reduction is an integer sum. Sharded execution uses threads (numpy
+releases the GIL while filling arrays); the result never depends on
+completion order. Because each slot takes one variate, not M, estimates
+for a given seed differ from earlier releases, which drew every sensor;
+the output format is unchanged.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
-    """Binomial point estimate with its normal-approximation 95% CI."""
+    """Binomial point estimate, its standard error and Wilson 95% interval."""
 
     p_hat: float
     stderr: float
@@ -70,50 +79,54 @@ class SimEstimate:
 def _estimate(successes: int, runs: int) -> SimEstimate:
     p = successes / runs
     stderr = math.sqrt(p * (1.0 - p) / runs)
-    return SimEstimate(
-        p_hat=p,
-        stderr=stderr,
-        ci95=(p - 1.96 * stderr, p + 1.96 * stderr),
-        runs=runs,
-    )
+    # Wilson (1927) score interval: unlike p +/- 1.96 * stderr it keeps a
+    # non-zero width inside [0, 1] when p is 0 or 1
+    z2n = 1.96 * 1.96 / runs
+    center = (p + 0.5 * z2n) / (1.0 + z2n)
+    half = 1.96 / (1.0 + z2n) * math.sqrt(stderr * stderr + 0.25 * z2n / runs)
+    ci95 = (max(0.0, center - half), min(1.0, center + half))
+    return SimEstimate(p_hat=p, stderr=stderr, ci95=ci95, runs=runs)
 
 
 def _block_stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | (block & _MASK64)))
 
 
-def _count_blocks(
-    runs: int,
-    block_runs: int,
-    seed: int,
-    shards: int,
-    count_one: Callable[[np.random.Generator, int], int],
-) -> int:
-    """Sum count_one over fixed-size blocks, optionally sharded."""
+def _simulate(
+    config: SimConfig, block_runs: int, sum_means, count: Callable[[np.ndarray], int]
+) -> SimEstimate:
+    """Share of runs that ``count`` selects, where a run is one slot sum
+    N(sum_means, M) per entry of ``sum_means`` (scalar or length K)."""
+    runs, shards = config.runs, config.shards
+    scale = math.sqrt(config.scenario.detector.M)
+    shape = np.shape(sum_means)
     n_blocks = (runs + block_runs - 1) // block_runs
-
-    def block_size(b: int) -> int:
-        return min(block_runs, runs - b * block_runs)
 
     def shard_total(shard: int) -> int:
         total = 0
         for b in range(shard, n_blocks, shards):
-            total += count_one(_block_stream(seed, b), block_size(b))
+            n = min(block_runs, runs - b * block_runs)
+            z = _block_stream(config.seed, b).standard_normal((n, *shape))
+            total += count(scale * z + sum_means)
         return total
 
     if shards == 1:
-        return shard_total(0)
-    with ThreadPoolExecutor(max_workers=shards) as pool:
-        return sum(pool.map(shard_total, range(shards)))
+        hits = shard_total(0)
+    else:
+        with ThreadPoolExecutor(max_workers=shards) as pool:
+            hits = sum(pool.map(shard_total, range(shards)))
+    return _estimate(hits, runs)
 
 
 def simulate_pmd(config: SimConfig) -> SimEstimate:
     """Fraction of runs with no alarm in the K slots after the changepoint.
 
-    Each run draws per-sensor unit-variance Gaussians around the timeline
-    means (the transient truncated to whole slots), sums them per slot,
-    and counts a miss when every slot stays below h. Pre-change slots are
-    independent of post-change ones and are not simulated.
+    Sensor readings in post-change slot j are N(mean_j, 1) around the
+    timeline mean (the transient truncated to whole slots), so a run draws
+    K standard normals and counts a miss when every slot sum
+    y_j = sqrt(M) * z_j + M * mean_j stays below h. Pre-change slots are
+    independent of post-change ones and are not simulated. Estimates for a
+    given seed differ from earlier releases, which drew all K * M readings.
     """
     scenario = config.scenario
     det = scenario.detector
@@ -128,14 +141,9 @@ def simulate_pmd(config: SimConfig) -> SimEstimate:
         [slot_mean(timeline, config.nu + j) for j in range(1, det.K + 1)], dtype=float
     )
     h = det.h
-
-    def count_one(rng: np.random.Generator, n: int) -> int:
-        x = rng.standard_normal((n, det.K, det.M)) + means[None, :, None]
-        y = x.sum(axis=2)
-        return int((y < h).all(axis=1).sum())
-
-    misses = _count_blocks(config.runs, PMD_BLOCK_RUNS, config.seed, config.shards, count_one)
-    return _estimate(misses, config.runs)
+    return _simulate(
+        config, PMD_BLOCK_RUNS, det.M * means, lambda y: int((y < h).all(axis=1).sum())
+    )
 
 
 def simulate_false_alarm(config: SimConfig) -> SimEstimate:
@@ -144,15 +152,8 @@ def simulate_false_alarm(config: SimConfig) -> SimEstimate:
     Calibration check: with the derived threshold this should match the
     configured per-slot false-alarm probability alpha.
     """
-    det = config.scenario.detector
-    h = det.h
-
-    def count_one(rng: np.random.Generator, n: int) -> int:
-        y = rng.standard_normal((n, det.M)).sum(axis=1)
-        return int((y >= h).sum())
-
-    alarms = _count_blocks(config.runs, SLOT_BLOCK_RUNS, config.seed, config.shards, count_one)
-    return _estimate(alarms, config.runs)
+    h = config.scenario.detector.h
+    return _simulate(config, SLOT_BLOCK_RUNS, 0.0, lambda y: int((y >= h).sum()))
 
 
 def simulate_allocation(config: SimConfig, allocations) -> SimEstimate:
@@ -167,12 +168,6 @@ def simulate_allocation(config: SimConfig, allocations) -> SimEstimate:
         )
     if not np.all(np.isfinite(alloc)) or np.any(alloc < 0.0):
         raise DomainError("allocations must be finite and >= 0")
-    means = np.asarray(scenario.mean.value(alloc), dtype=float)
+    mean_sum = float(np.sum(scenario.mean.value(alloc)))
     h = det.h
-
-    def count_one(rng: np.random.Generator, n: int) -> int:
-        y = (rng.standard_normal((n, det.M)) + means[None, :]).sum(axis=1)
-        return int((y < h).sum())
-
-    misses = _count_blocks(config.runs, SLOT_BLOCK_RUNS, config.seed, config.shards, count_one)
-    return _estimate(misses, config.runs)
+    return _simulate(config, SLOT_BLOCK_RUNS, mean_sum, lambda y: int((y < h).sum()))

@@ -7,13 +7,16 @@ interior solver residuals (b_residual, fixed_point_residual), which are
 rounding noise, only need to stay at or below 1e-12 on both sides.
 simulate output and validate's PASS/FAIL lines must match byte for byte.
 
-Regenerate with ``PYTHONPATH=src python tests/test_golden.py``, and only
-when an output is meant to change.
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py [cmd ...]``,
+and only when an output is meant to change. With subcommand names (for
+example ``simulate validate``) only those subcommands' files are
+rewritten, for all four figures; with none, every file is.
 """
 
 import contextlib
 import io
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -76,8 +79,12 @@ def test_golden_output(fig, cmd, tmp_path):
 
 
 if __name__ == "__main__":
+    cmds = sys.argv[1:] or list(COMMANDS)
+    unknown = sorted(set(cmds) - set(COMMANDS))
+    if unknown:
+        sys.exit(f"unknown subcommand(s): {', '.join(unknown)}; choose from {', '.join(COMMANDS)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for fig in FIGS:
-            for cmd in COMMANDS:
+            for cmd in cmds:
                 (GOLDEN / f"{fig}_{cmd}.txt").write_text(run(cmd, fig, Path(tmp)), encoding="utf-8")

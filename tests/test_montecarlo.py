@@ -8,10 +8,12 @@ below 1e-5 while still catching real formula errors.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from pmdkit import (
     AttackScenario,
+    AttackTimeline,
     DetectorConfig,
     DomainError,
     MeanProfile,
@@ -24,10 +26,13 @@ from pmdkit import (
     simulate_allocation,
     simulate_false_alarm,
     simulate_pmd,
+    slot_mean,
     slot_miss,
 )
+from pmdkit import montecarlo
+from pmdkit.optimize import solve
 
-from conftest import make_scenario
+from conftest import REFERENCE_CONFIGS, make_scenario
 
 SEED = 987654321
 
@@ -41,6 +46,42 @@ def within_three_sigma(runner, target, seed=SEED):
             return est
     raise AssertionError(
         f"estimate {est.p_hat} not within 3 sigma of {target} even after retry"
+    )
+
+
+def agree_within_three_sigma(run_a, run_b, seed=SEED):
+    """Two independent estimates of one probability agree (pooled two-sample
+    z-test), with the protocol's single fresh-seed retry."""
+    for attempt_seed in (seed, seed + 1):
+        a, b = run_a(attempt_seed), run_b(attempt_seed + 1000)
+        pooled = (a.p_hat * a.runs + b.p_hat * b.runs) / (a.runs + b.runs)
+        sigma = max(math.sqrt(pooled * (1 - pooled) * (1 / a.runs + 1 / b.runs)), 1e-300)
+        if abs(a.p_hat - b.p_hat) <= 3 * sigma:
+            return
+    raise AssertionError(f"{a.p_hat} and {b.p_hat} differ by more than 3 sigma even after retry")
+
+
+def per_sensor_reference(config, block_runs, sensor_means, hit):
+    """The per-sensor sampler the sum identity replaced: draw every sensor's
+    reading (sensor_means has shape (K, M) or (M,)) from the same block
+    streams, sum over sensors, and count the runs that ``hit`` selects."""
+    hits = 0
+    for b in range(-(-config.runs // block_runs)):
+        n = min(block_runs, config.runs - b * block_runs)
+        x = montecarlo._block_stream(config.seed, b).standard_normal((n, *sensor_means.shape))
+        hits += int(np.sum(hit((x + sensor_means).sum(axis=-1))))
+    return montecarlo._estimate(hits, config.runs)
+
+
+def reference_pmd(config):
+    """simulate_pmd by the per-sensor draw: every sensor of post-change slot j
+    reads around that slot's timeline mean."""
+    det = config.scenario.detector
+    timeline = AttackTimeline(nu=config.nu, theta=config.theta, scenario=config.scenario)
+    means = np.array([slot_mean(timeline, config.nu + j) for j in range(1, det.K + 1)])
+    sensor_means = np.repeat(means[:, None], det.M, axis=1)
+    return per_sensor_reference(
+        config, montecarlo.PMD_BLOCK_RUNS, sensor_means, lambda y: (y < det.h).all(axis=1)
     )
 
 
@@ -77,6 +118,55 @@ def test_different_seeds_differ(fig1_scenario):
     a = simulate_pmd(SimConfig(scenario=fig1_scenario, theta=0.7, runs=20_000, seed=1))
     b = simulate_pmd(SimConfig(scenario=fig1_scenario, theta=0.7, runs=20_000, seed=2))
     assert a.p_hat != b.p_hat
+
+
+# --- sum identity: agreement with the per-sensor draw -------------------------
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_single_sensor_matches_per_sensor_draw_bit_for_bit(theta):
+    # at M = 1 both samplers consume the same variates in the same order, and
+    # 1.0 * z + mean == z + mean, so every run lands on the same side of h
+    config = SimConfig(scenario=make_scenario(M=1), theta=theta, runs=10_000, seed=SEED)
+    assert simulate_pmd(config) == reference_pmd(config)
+
+
+def test_pmd_agrees_with_per_sensor_draw(fig1_scenario):
+    def config(s):
+        return SimConfig(scenario=fig1_scenario, theta=0.7, runs=50_000, seed=s)
+
+    agree_within_three_sigma(lambda s: simulate_pmd(config(s)), lambda s: reference_pmd(config(s)))
+
+
+def test_false_alarm_agrees_with_per_sensor_draw(fig1_scenario):
+    h, m = fig1_scenario.detector.h, fig1_scenario.detector.M
+
+    def config(s):
+        return SimConfig(scenario=fig1_scenario, theta=0.0, runs=200_000, seed=s)
+
+    agree_within_three_sigma(
+        lambda s: simulate_false_alarm(config(s)),
+        lambda s: per_sensor_reference(
+            config(s), montecarlo.SLOT_BLOCK_RUNS, np.zeros(m), lambda y: y >= h
+        ),
+    )
+
+
+def test_allocation_agrees_with_per_sensor_draw_for_unequal_split():
+    scenario = make_scenario("reciprocal", M=25)
+    alloc = np.linspace(0.0, 0.08, 25)  # total 1.0, from 0 up to twice the even share
+    sensor_means = np.asarray(scenario.mean.value(alloc), dtype=float)
+    h = scenario.detector.h
+
+    def config(s):
+        return SimConfig(scenario=scenario, theta=1.0, runs=200_000, seed=s)
+
+    agree_within_three_sigma(
+        lambda s: simulate_allocation(config(s), alloc),
+        lambda s: per_sensor_reference(
+            config(s), montecarlo.SLOT_BLOCK_RUNS, sensor_means, lambda y: y < h
+        ),
+    )
 
 
 # --- agreement with the closed forms ------------------------------------------
@@ -127,6 +217,20 @@ def test_transient_alignment_with_floor(fig1_scenario):
         lambda s: simulate_pmd(
             SimConfig(scenario=fig1_scenario, theta=theta, runs=100_000, seed=s)
         ),
+        target,
+    )
+
+
+@pytest.mark.parametrize(
+    "transient, mean", REFERENCE_CONFIGS, ids=["fig1", "fig2", "fig3", "fig4"]
+)
+def test_worst_case_theta_star_matches_closed_form(transient, mean):
+    scenario = make_scenario(transient, mean)
+    theta = solve(scenario).theta_star
+    aligned = int(math.floor(float(scenario.transient.value(theta))))
+    target = pmd(scenario, theta, transient_slots=aligned).Q
+    within_three_sigma(
+        lambda s: simulate_pmd(SimConfig(scenario=scenario, theta=theta, runs=100_000, seed=s)),
         target,
     )
 
@@ -202,9 +306,25 @@ def test_estimate_fields_are_consistent(fig1_scenario):
     assert est.stderr == pytest.approx(
         math.sqrt(est.p_hat * (1 - est.p_hat) / est.runs), rel=1e-12
     )
-    assert est.ci95[0] == pytest.approx(est.p_hat - 1.96 * est.stderr, rel=1e-12)
-    assert est.ci95[1] == pytest.approx(est.p_hat + 1.96 * est.stderr, rel=1e-12)
+    # Wilson score interval: (p + z^2/2n) / (1 + z^2/n) +/- z / (1 + z^2/n)
+    # * sqrt(p(1 - p)/n + z^2/4n^2)
+    n, p, z = est.runs, est.p_hat, 1.96
+    center = (p + z**2 / (2 * n)) / (1 + z**2 / n)
+    half = z / (1 + z**2 / n) * math.sqrt(p * (1 - p) / n + z**2 / (4 * n**2))
+    assert est.ci95[0] == pytest.approx(center - half, rel=1e-12)
+    assert est.ci95[1] == pytest.approx(center + half, rel=1e-12)
     assert est.runs == 10_000
+
+
+@pytest.mark.parametrize("h, p_hat", [(-1e3, 0.0), (1e3, 1.0)])
+def test_interval_keeps_width_when_every_run_agrees(h, p_hat):
+    # h far below every slot sum alarms in every run (no miss); far above, never
+    scenario = make_scenario(h_override=h)
+    est = simulate_pmd(SimConfig(scenario=scenario, theta=0.7, runs=1000, seed=SEED))
+    assert (est.p_hat, est.stderr) == (p_hat, 0.0)
+    low, high = est.ci95
+    assert 0.0 <= low <= p_hat <= high <= 1.0
+    assert high - low == pytest.approx(1.96**2 / (1000 + 1.96**2), rel=1e-12)
 
 
 def test_transient_longer_than_window_rejected(fig3_scenario):
