@@ -48,7 +48,7 @@ def main():
     equal = allocation_miss(many, np.full(25, theta / 25))
     raw = rng.exponential(size=(10_000, 25))
     candidates = theta * raw / raw.sum(axis=1, keepdims=True)
-    misses = np.array([allocation_miss(many, row) for row in candidates])
+    misses = allocation_miss(many, candidates)
     print(f"  equal split:      {equal:.6f}")
     print(f"  best random split: {misses.max():.6f}")
     print(f"  every one of {len(misses)} random splits does worse: "

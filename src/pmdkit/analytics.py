@@ -36,8 +36,6 @@ from . import stdnorm
 from .errors import DomainError, TransientExceedsWindowError
 from .model import AttackScenario
 
-_L_SLACK = 1e-9  # tolerance when checking L(theta) <= K at the boundary
-
 
 @dataclass(frozen=True)
 class SlotMiss:
@@ -108,21 +106,10 @@ def _kernel(scenario: AttackScenario, theta) -> _Slot:
     )
 
 
-def _transient_length(scenario: AttackScenario, theta) -> np.ndarray:
-    """L(theta), float or elementwise, refusing a transient longer than K."""
-    length = np.asarray(scenario.transient.value(theta), dtype=float)
-    if (length > scenario.detector.K + _L_SLACK).any():
-        raise TransientExceedsWindowError(
-            f"transient L = {np.max(length):.6g} exceeds the window K = "
-            f"{scenario.detector.K}"
-        )
-    return length
-
-
 def _log_pmd(scenario: AttackScenario, theta, length=None):
     """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)."""
     if length is None:
-        length = _transient_length(scenario, theta)
+        length = scenario.transient_length(theta)
     slot = _kernel(scenario, theta)
     return length, slot, length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
 
@@ -136,7 +123,7 @@ def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = No
 def _log_pmd_slopes(scenario: AttackScenario, theta: float) -> tuple[float, float]:
     """(dr/dtheta, d2r/dtheta2) from one kernel call, unchecked."""
     transient = scenario.transient
-    length = _transient_length(scenario, theta)
+    length = scenario.transient_length(theta)
     d1 = transient.derivative(theta)
     d2 = transient.second_derivative(theta)
     slot = _kernel(scenario, theta)
@@ -223,20 +210,14 @@ def log_pmd_second_derivative(scenario: AttackScenario, theta: float) -> float:
     return _log_pmd_slopes(scenario, theta)[1]
 
 
-def allocation_miss(scenario: AttackScenario, allocations) -> float:
+def allocation_miss(scenario: AttackScenario, allocations) -> float | np.ndarray:
     """Per-slot miss probability for an explicit per-sensor allocation.
 
     Sensor i receives allocations[i] resources, so its mean is
     mu(allocations[i]); the slot misses when the summed statistic stays
     below threshold:  cdf(x_star - sum_i mu(alloc_i) / sqrt(M)).
+    A length-M vector gives a float; an (n, M) stack of allocations gives
+    the n miss probabilities, one per row.
     """
-    alloc = np.asarray(allocations, dtype=float)
     det = scenario.detector
-    if alloc.shape != (det.M,):
-        raise DomainError(
-            f"allocations must be a length-{det.M} vector, got shape {alloc.shape}"
-        )
-    if not np.all(np.isfinite(alloc)) or np.any(alloc < 0.0):
-        raise DomainError("allocations must be finite and >= 0")
-    total_shift = float(np.sum(scenario.mean.value(alloc)))
-    return float(stdnorm.cdf(det.x_star - total_shift / math.sqrt(det.M)))
+    return stdnorm.cdf(det.x_star - scenario.allocation_shift(allocations) / math.sqrt(det.M))

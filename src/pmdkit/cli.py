@@ -237,46 +237,37 @@ def _check_jensen(scenario: AttackScenario) -> tuple[bool, str]:
     for theta in (scenario.theta_min, 0.5 * (scenario.theta_min + scenario.theta_max)):
         equal = analytics.allocation_miss(scenario, np.full(m, theta / m))
         raw = rng.exponential(size=(2000, m))
-        weights = theta * raw / raw.sum(axis=1, keepdims=True)
-        for row in weights:
-            worst = max(worst, analytics.allocation_miss(scenario, row) - equal)
+        misses = analytics.allocation_miss(scenario, theta * raw / raw.sum(axis=1, keepdims=True))
+        worst = max(worst, float(np.max(misses - equal)))
     return worst <= 1e-12, f"max_excess_over_equal_split={worst:.6e}"
 
 
-def _three_sigma(p_hat: float, stderr: float, target: float, runs: int) -> tuple[bool, float]:
-    sigma = max(stderr, math.sqrt(target * (1.0 - target) / runs), 1e-300)
-    z = abs(p_hat - target) / sigma
-    return z <= 3.0, z
+def _within_three_sigma(simulate, scenario: AttackScenario, theta: float, runs: int,
+                        seed: int, target: float) -> tuple[bool, str]:
+    """Whether simulate's estimate lies within 3 sigma of target, allowing
+    one retry at seed + 1."""
+    for attempt in (0, 1):
+        est = simulate(
+            montecarlo.SimConfig(scenario=scenario, theta=theta, runs=runs, seed=seed + attempt)
+        )
+        sigma = max(est.stderr, math.sqrt(target * (1.0 - target) / runs), 1e-300)
+        z = abs(est.p_hat - target) / sigma
+        if z <= 3.0:
+            return True, f"z={z:.3f}{' (retry)' if attempt else ''}"
+    return False, f"z={z:.3f} after retry"
 
 
 def _check_mc_agreement(scenario: AttackScenario, runs: int) -> tuple[bool, str]:
     theta = 0.5 * (scenario.theta_min + scenario.theta_max)
     aligned_slots = int(math.floor(float(scenario.transient.value(theta))))
     target = analytics.pmd(scenario, theta, transient_slots=aligned_slots).Q
-    z = math.inf
-    for attempt, seed in enumerate((_VALIDATE_SEED, _VALIDATE_SEED + 1)):
-        est = montecarlo.simulate_pmd(
-            montecarlo.SimConfig(scenario=scenario, theta=theta, runs=runs, seed=seed)
-        )
-        ok, z = _three_sigma(est.p_hat, est.stderr, target, runs)
-        if ok:
-            retried = " (retry)" if attempt else ""
-            return True, f"z={z:.3f}{retried}"
-    return False, f"z={z:.3f} after retry"
+    return _within_three_sigma(montecarlo.simulate_pmd, scenario, theta, runs,
+                               _VALIDATE_SEED, target)
 
 
 def _check_false_alarm(scenario: AttackScenario, runs: int) -> tuple[bool, str]:
-    alpha = scenario.detector.alpha
-    z = math.inf
-    for attempt, seed in enumerate((_VALIDATE_SEED + 2, _VALIDATE_SEED + 3)):
-        est = montecarlo.simulate_false_alarm(
-            montecarlo.SimConfig(scenario=scenario, theta=0.0, runs=runs, seed=seed)
-        )
-        ok, z = _three_sigma(est.p_hat, est.stderr, alpha, runs)
-        if ok:
-            retried = " (retry)" if attempt else ""
-            return True, f"z={z:.3f}{retried}"
-    return False, f"z={z:.3f} after retry"
+    return _within_three_sigma(montecarlo.simulate_false_alarm, scenario, 0.0, runs,
+                               _VALIDATE_SEED + 2, scenario.detector.alpha)
 
 
 def _cmd_validate(args) -> int:

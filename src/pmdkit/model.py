@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stdnorm
-from .errors import ConfigError, DomainError, UnsupportedFamilyError
+from .errors import ConfigError, DomainError, TransientExceedsWindowError, UnsupportedFamilyError
 
 MEAN_FAMILIES = ("rational", "exponential")
 TRANSIENT_FAMILIES = ("reciprocal", "exponential", "budget_floor")
 GAMMA_CONVENTIONS = ("per_sensor", "raw")
+_L_SLACK = 1e-9  # tolerance when checking L(theta) <= K at the boundary
 
 
 def _require_positive(value: float, name: str) -> float:
@@ -214,6 +215,24 @@ class AttackScenario:
         """d(gamma)/d(theta): the chain-rule constant for the convention."""
         return 1.0 / self.detector.M if self.gamma_convention == "per_sensor" else 1.0
 
+    def transient_length(self, theta) -> np.ndarray:
+        """L(theta), float or elementwise, refusing a transient longer than K."""
+        length = np.asarray(self.transient.value(theta), dtype=float)
+        if (length > self.detector.K + _L_SLACK).any():
+            raise TransientExceedsWindowError(
+                f"transient L = {np.max(length):.6g} exceeds the window K = {self.detector.K}"
+            )
+        return length
+
+    def allocation_shift(self, allocations) -> np.floating | np.ndarray:
+        """Summed mean shift sum_i mu(alloc_i) of one length-M allocation,
+        or of each row of an (n, M) stack of them."""
+        alloc = np.asarray(allocations, dtype=float)
+        m = self.detector.M
+        if alloc.ndim not in (1, 2) or alloc.shape[-1] != m:
+            raise DomainError(f"allocations must have shape ({m},) or (n, {m}), got {alloc.shape}")
+        return np.sum(self.mean.value(alloc), axis=-1)
+
 
 @dataclass(frozen=True)
 class AttackTimeline:
@@ -289,8 +308,6 @@ CONFIG_KEYS = (
     "theta.max",
     "gamma_convention",
 )
-
-_OPTIONAL_KEYS = ("L.a", "det.h")
 
 
 def parse_config_text(text: str) -> dict[str, str]:

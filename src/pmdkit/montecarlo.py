@@ -5,6 +5,8 @@ and the sum of M independent N(mu_i, 1) is exactly N(sum mu_i, M). So a
 slot costs one standard normal z, scaled to sqrt(M) * z + sum mu_i, and a
 K-slot run K normals, not K * M. Slot sums stay Gaussian variates compared
 with h: the oracle never evaluates the closed forms it checks.
+simulate_allocation takes one length-M allocation, not the (n, M) stack
+that analytics.allocation_miss accepts.
 
 Reproducibility contract
 ------------------------
@@ -31,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, TransientExceedsWindowError
-from .model import AttackScenario, AttackTimeline, slot_mean
+from .errors import DomainError
+from .model import AttackScenario
 
 PMD_BLOCK_RUNS = 4096        # runs per block when a run spans K slots
 SLOT_BLOCK_RUNS = 65536      # runs per block for single-slot experiments
@@ -41,7 +43,9 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation request; equal configs give bit-identical results."""
+    """One simulation request; equal configs give bit-identical results.
+    The simulated window is the K slots after the changepoint nu, so nu
+    never changes an estimate."""
 
     scenario: AttackScenario
     theta: float
@@ -130,16 +134,11 @@ def simulate_pmd(config: SimConfig) -> SimEstimate:
     """
     scenario = config.scenario
     det = scenario.detector
+    # mu(0) = c for every mean family, and slots past the transient revert to it
+    means = np.full(det.K, scenario.mean.c, dtype=float)
     if config.theta > 0.0:
-        length = float(scenario.transient.value(config.theta))
-        if length > det.K + 1e-9:
-            raise TransientExceedsWindowError(
-                f"transient L({config.theta:.6g}) = {length:.6g} exceeds the window K = {det.K}"
-            )
-    timeline = AttackTimeline(nu=config.nu, theta=config.theta, scenario=scenario)
-    means = np.array(
-        [slot_mean(timeline, config.nu + j) for j in range(1, det.K + 1)], dtype=float
-    )
+        slots = int(scenario.transient_length(config.theta))
+        means[:slots] = scenario.mean.value(scenario.gamma(config.theta))
     h = det.h
     return _simulate(
         config, PMD_BLOCK_RUNS, det.M * means, lambda y: int((y < h).all(axis=1).sum())
@@ -159,15 +158,8 @@ def simulate_false_alarm(config: SimConfig) -> SimEstimate:
 def simulate_allocation(config: SimConfig, allocations) -> SimEstimate:
     """Single-slot miss frequency when sensor i is suppressed with
     allocations[i] resources (empirical counterpart of allocation_miss)."""
-    scenario = config.scenario
-    det = scenario.detector
-    alloc = np.asarray(allocations, dtype=float)
-    if alloc.shape != (det.M,):
-        raise DomainError(
-            f"allocations must be a length-{det.M} vector, got shape {alloc.shape}"
-        )
-    if not np.all(np.isfinite(alloc)) or np.any(alloc < 0.0):
-        raise DomainError("allocations must be finite and >= 0")
-    mean_sum = float(np.sum(scenario.mean.value(alloc)))
-    h = det.h
-    return _simulate(config, SLOT_BLOCK_RUNS, mean_sum, lambda y: int((y < h).sum()))
+    shift = config.scenario.allocation_shift(allocations)
+    if np.ndim(shift) != 0:
+        raise DomainError("simulate_allocation takes one allocation vector, not a stack")
+    h = config.scenario.detector.h
+    return _simulate(config, SLOT_BLOCK_RUNS, shift, lambda y: int((y < h).sum()))

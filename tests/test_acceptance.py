@@ -224,7 +224,7 @@ def test_criterion_5_jensen_allocation():
             equal = allocation_miss(scenario, np.full(m, theta / m))
             raw = rng.exponential(size=(10_000, m))
             vectors = theta * raw / raw.sum(axis=1, keepdims=True)
-            misses = np.array([allocation_miss(scenario, row) for row in vectors])
+            misses = allocation_miss(scenario, vectors)
             worst_excess = max(worst_excess, float(np.max(misses - equal)))
             assert np.all(misses <= equal + 1e-12)
 

@@ -235,10 +235,22 @@ def test_equal_split_is_never_beaten(m, theta):
         assert allocation_miss(scenario, row) <= equal + 1e-12
 
 
+@pytest.mark.parametrize("scenario", [make_scenario(), make_scenario("reciprocal", M=2)],
+                         ids=["fig1", "M2"])
+def test_allocation_stack_matches_row_by_row(scenario):
+    m = scenario.detector.M
+    raw = np.random.default_rng(11).exponential(size=(300, m))
+    stack = 0.8 * raw / raw.sum(axis=1, keepdims=True)
+    misses = allocation_miss(scenario, stack)
+    assert misses.shape == (300,)
+    np.testing.assert_array_equal(misses, [allocation_miss(scenario, row) for row in stack])
+
+
 def test_allocation_errors():
     scenario = make_scenario(M=25)
-    with pytest.raises(DomainError):
-        allocation_miss(scenario, [0.1] * 24)
+    for shape in [(24,), (3, 24), (2, 2, 25)]:
+        with pytest.raises(DomainError):
+            allocation_miss(scenario, np.full(shape, 0.1))
     with pytest.raises(DomainError):
         allocation_miss(scenario, [-0.1] + [0.1] * 24)
 

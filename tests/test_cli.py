@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import dataclasses
+import os
 import subprocess
 import sys
 
 import pytest
 
+import pmdkit
 from pmdkit import TransientModel, scenario_to_config
 from pmdkit.cli import main
 
@@ -252,10 +254,13 @@ def test_missing_scenario_file(capsys, tmp_path):
 
 
 def test_module_entry_point(fig1_path):
+    # the child imports the pmdkit this process imported, installed or not
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pmdkit.__file__))}
     result = subprocess.run(
         [sys.executable, "-m", "pmdkit", "optimize", "--scenario", fig1_path],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert "theta_star=" in result.stdout

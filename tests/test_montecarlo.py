@@ -124,10 +124,21 @@ def test_different_seeds_differ(fig1_scenario):
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.7])
-def test_single_sensor_matches_per_sensor_draw_bit_for_bit(theta):
+@pytest.mark.parametrize(
+    "transient",
+    [
+        TransientModel("exponential", A=1.5, a=15.0),
+        TransientModel("reciprocal", A=1.5),
+        TransientModel("budget_floor", A=1.5),
+    ],
+    ids=lambda transient: transient.family,
+)
+def test_single_sensor_matches_per_sensor_draw_bit_for_bit(transient, theta):
     # at M = 1 both samplers consume the same variates in the same order, and
-    # 1.0 * z + mean == z + mean, so every run lands on the same side of h
-    config = SimConfig(scenario=make_scenario(M=1), theta=theta, runs=10_000, seed=SEED)
+    # 1.0 * z + mean == z + mean, so every run lands on the same side of h;
+    # the reference builds its slot means from AttackTimeline and slot_mean
+    scenario = dataclasses.replace(make_scenario(M=1), transient=transient)
+    config = SimConfig(scenario=scenario, theta=theta, runs=10_000, seed=SEED)
     assert simulate_pmd(config) == reference_pmd(config)
 
 
@@ -349,6 +360,8 @@ def test_allocation_validation(fig1_scenario):
         simulate_allocation(config, [0.1] * 24)
     with pytest.raises(DomainError):
         simulate_allocation(config, [-1.0] + [0.1] * 24)
+    with pytest.raises(DomainError):
+        simulate_allocation(config, np.full((2, 25), 0.1))
 
 
 def test_seed_is_masked_to_64_bits(fig1_scenario):
