@@ -2,9 +2,11 @@
 
 For the closed-form transient families the optimizer does not hill-climb
 Q directly: the derivative of log Q factors through a strictly decreasing
-function b(theta), so bisection on b is unconditionally convergent and a
-Newton polish lands on the critical point to machine precision. This
-script walks through the diagnostics that come back with the answer.
+function b(theta), so a bracketing root search on b is unconditionally
+convergent. The solver uses ITP (interpolate, truncate, project), which
+keeps bisection's worst case but lands on the critical point to machine
+precision in a handful of b evaluations. This script walks through the
+diagnostics that come back with the answer.
 """
 
 import numpy as np
@@ -36,7 +38,7 @@ def main():
     print(f"  Q*                   = {critical.Q_star:.10f}")
     print(f"  |b(theta*)|          = {critical.b_residual:.2e}")
     print(f"  fixed-point residual = {critical.fixed_point_residual:.2e}")
-    print(f"  bisection iterations = {critical.iterations}")
+    print(f"  ITP b evaluations    = {critical.iterations}")
 
     # cross-check three ways: sign flip of the derivative, a dense grid,
     # and the derivative-free golden-section route

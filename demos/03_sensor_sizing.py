@@ -2,9 +2,11 @@
 
 The defender's question: given the adversary plays its worst case, what
 is the smallest sensor count M that keeps the missed-detection
-probability under a target delta? Worst-case Q decreases in M, so an
-exponential-then-binary search answers it in a handful of evaluations,
-and the full scan is returned as evidence.
+probability under a target delta? Worst-case Q decreases in M, and two
+closed-form bounds bracket the answer: M_lo, what the detector would need
+with no adversary, and M_hi, beyond which even the adversary's best
+spend cannot keep Q above delta. Every M in the bracket is solved in one
+batched call, and the full scan is returned as evidence.
 
 The answer depends on how the adversary's spend maps onto sensor means:
 the per_sensor convention divides the slot spend over the M sensors
@@ -27,7 +29,10 @@ def run(convention):
     result = min_sensors(scenario, delta=DELTA, m_max=100)
     print(f"\n--- convention = {convention} ---")
     print(f"target delta      = {DELTA}")
-    print(f"M_min             = {result.M_min}")
+    upper = "above m_max" if result.M_hi is None else result.M_hi
+    print(f"bracket           = [{result.M_lo}, {upper}]  (M_lo: no adversary)")
+    print(f"M_min             = {result.M_min}  (price of the adversary: "
+          f"{result.M_min - result.M_lo})")
     print(f"Q* at M_min       = {result.Q_at_M_min:.6f}")
     print(f"Q* at M_min - 1   = {result.Q_at_M_min_minus_1:.6f}  (still above target)")
     print("search scan:")

@@ -70,33 +70,45 @@ class PmdCurve:
 
 
 class _Slot(NamedTuple):
-    """Kernel output at one theta or elementwise over an array of them."""
+    """Kernel output, elementwise over the broadcast of theta and M."""
 
     q: float | np.ndarray
     log_q: float | np.ndarray
-    log_q0: float
+    log_q0: float | np.ndarray
     dlog_q: float | np.ndarray
     d2log_q: float | np.ndarray
 
 
-def _kernel(scenario: AttackScenario, theta) -> _Slot:
+# a huge shift overflows to inf on purpose (numpy arithmetic, where Python
+# floats would raise); the solver reports the nan that follows
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel(scenario: AttackScenario, theta, m=None, order: int = 2) -> _Slot:
     """Per-slot quantities at theta (float or ndarray), unchecked.
 
-    q is reported as cdf(u) directly, which is more accurate than
-    exp(log q) in the central range; everything else stays in log space.
+    m is the sensor count, the detector's M by default; an ndarray of
+    counts makes one lane per entry, broadcast against theta. Every step
+    is elementwise, so a lane's values do not depend on the other lanes.
+    order=1 leaves out q and d2log_q (None) for callers that need only
+    log q and its slope. q is reported as cdf(u) directly, which is more
+    accurate than exp(log q) in the central range; everything else stays
+    in log space.
     """
     det = scenario.detector
-    sqrt_m = math.sqrt(det.M)
-    cf = scenario.gamma_slope
-    # numpy arithmetic overflows to inf where Python floats would raise
-    mu, mu1, mu2 = scenario.mean._profile(scenario.gamma(np.asarray(theta, dtype=float)))
+    if m is None:
+        m, sqrt_m = det.M, math.sqrt(det.M)
+    else:
+        sqrt_m = np.sqrt(m)
+    cf = scenario.gamma(1.0, m)
+    mu, mu1, mu2 = scenario.mean._profile(scenario.gamma(np.asarray(theta, dtype=float), m))
     u = det.x_star - sqrt_m * mu
     du = -sqrt_m * mu1 * cf
-    d2u = -sqrt_m * mu2 * cf**2
     log_q = special.log_ndtr(u)
     # mu(0) = c for every mean family
     log_q0 = special.log_ndtr(det.x_star - sqrt_m * scenario.mean.c)
     lam = np.exp(-0.5 * u * u - stdnorm.LOG_SQRT_2PI - log_q)
+    if order == 1:
+        return _Slot(q=None, log_q=log_q, log_q0=log_q0, dlog_q=lam * du, d2log_q=None)
+    d2u = -sqrt_m * mu2 * cf**2
     return _Slot(
         q=special.ndtr(u),
         log_q=log_q,
@@ -106,11 +118,12 @@ def _kernel(scenario: AttackScenario, theta) -> _Slot:
     )
 
 
-def _log_pmd(scenario: AttackScenario, theta, length=None):
-    """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)."""
+def _log_pmd(scenario: AttackScenario, theta, length=None, m=None):
+    """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)
+    and m, the sensor count lanes, to the detector's M."""
     if length is None:
         length = scenario.transient_length(theta)
-    slot = _kernel(scenario, theta)
+    slot = _kernel(scenario, theta, m)
     return length, slot, length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
 
 

@@ -259,8 +259,7 @@ def _within_three_sigma(simulate, scenario: AttackScenario, theta: float, runs: 
 
 def _check_mc_agreement(scenario: AttackScenario, runs: int) -> tuple[bool, str]:
     theta = 0.5 * (scenario.theta_min + scenario.theta_max)
-    aligned_slots = int(math.floor(float(scenario.transient.value(theta))))
-    target = analytics.pmd(scenario, theta, transient_slots=aligned_slots).Q
+    target = analytics.pmd(scenario, theta, transient_slots=scenario.transient_slots(theta)).Q
     return _within_three_sigma(montecarlo.simulate_pmd, scenario, theta, runs,
                                _VALIDATE_SEED, target)
 

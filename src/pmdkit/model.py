@@ -80,8 +80,10 @@ class MeanProfile(_Profile):
             raise DomainError("resource rate z must be finite and >= 0")
         return arr
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _profile(self, z):
-        """(mu, mu', mu'') at z, unchecked; callers validate z."""
+        """(mu, mu', mu'') at z, unchecked; callers validate z. A huge k
+        or c overflows to inf (inf / inf to nan) on purpose."""
         if self.family == "rational":
             d = 1.0 + self.k * z
             return self.c / d, -self.c * self.k / d**2, 2.0 * self.c * (self.k * self.k) / d**3
@@ -164,7 +166,10 @@ class DetectorConfig:
         if self.h_override is None:
             object.__setattr__(self, "h", math.sqrt(self.M) * self.x_star)
         else:
-            object.__setattr__(self, "h", float(self.h_override))
+            h = float(self.h_override)
+            if not math.isfinite(h):
+                raise DomainError(f"h_override must be finite, got {h!r}")
+            object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)
@@ -204,16 +209,17 @@ class AttackScenario:
                 "raise theta_min"
             )
 
-    def gamma(self, theta) -> float | np.ndarray:
-        """Per-sensor resource argument for the mean profile."""
+    def gamma(self, theta, m=None) -> float | np.ndarray:
+        """Per-sensor resource argument for the mean profile; m replaces
+        the detector's sensor count (a count, or an array of them)."""
         if self.gamma_convention == "per_sensor":
-            return theta / self.detector.M
+            return theta / (self.detector.M if m is None else m)
         return theta
 
     @property
     def gamma_slope(self) -> float:
         """d(gamma)/d(theta): the chain-rule constant for the convention."""
-        return 1.0 / self.detector.M if self.gamma_convention == "per_sensor" else 1.0
+        return self.gamma(1.0)
 
     def transient_length(self, theta) -> np.ndarray:
         """L(theta), float or elementwise, refusing a transient longer than K."""
@@ -223,6 +229,13 @@ class AttackScenario:
                 f"transient L = {np.max(length):.6g} exceeds the window K = {self.detector.K}"
             )
         return length
+
+    def transient_slots(self, theta: float) -> int:
+        """floor(L(theta)), the whole slots the simulator suppresses; 0 at
+        theta = 0, the no-attack baseline."""
+        if theta == 0.0:
+            return 0
+        return int(math.floor(float(self.transient_length(theta))))
 
     def allocation_shift(self, allocations) -> np.floating | np.ndarray:
         """Summed mean shift sum_i mu(alloc_i) of one length-M allocation,
@@ -258,9 +271,7 @@ class AttackTimeline:
 
     @property
     def transient_slots(self) -> int:
-        if self.theta == 0.0:
-            return 0
-        return int(math.floor(float(self.scenario.transient.value(self.theta))))
+        return self.scenario.transient_slots(self.theta)
 
 
 def slot_mean(timeline: AttackTimeline, n: int) -> float:

@@ -136,9 +136,8 @@ def simulate_pmd(config: SimConfig) -> SimEstimate:
     det = scenario.detector
     # mu(0) = c for every mean family, and slots past the transient revert to it
     means = np.full(det.K, scenario.mean.c, dtype=float)
-    if config.theta > 0.0:
-        slots = int(scenario.transient_length(config.theta))
-        means[:slots] = scenario.mean.value(scenario.gamma(config.theta))
+    slots = scenario.transient_slots(config.theta)
+    means[:slots] = scenario.mean.value(scenario.gamma(config.theta))
     h = det.h
     return _simulate(
         config, PMD_BLOCK_RUNS, det.M * means, lambda y: int((y < h).all(axis=1).sum())

@@ -45,12 +45,6 @@ def pdf(x) -> float | np.ndarray:
     return _like_input(np.exp(-0.5 * arr * arr) / SQRT_2PI, x)
 
 
-def log_pdf(x) -> float | np.ndarray:
-    """log pdf(x), safe where pdf underflows."""
-    arr = _finite_array(x, "x")
-    return _like_input(-0.5 * arr * arr - LOG_SQRT_2PI, x)
-
-
 def cdf(x) -> float | np.ndarray:
     """Lower-tail probability of N(0, 1).
 

@@ -1,5 +1,8 @@
 """Shared scenario builders for the test suite."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from pmdkit import AttackScenario, DetectorConfig, MeanProfile, TransientModel
@@ -52,3 +55,15 @@ def fig1_scenario():
 @pytest.fixture
 def fig3_scenario():
     return make_scenario("reciprocal", "rational")
+
+
+@pytest.fixture(scope="session")
+def bench_pool():
+    """The analytic-sweep benchmark's scenario pool: bench/gen.py, seed 1,
+    128 scenarios (every eighth in the deep tail)."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import gen
+
+    return tuple(item.scenario for item in gen.generate(1, 128))

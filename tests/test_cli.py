@@ -177,6 +177,17 @@ def test_simulate_rejects_overlong_transient(capsys, fig3_path):
     assert "window" in err
 
 
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_simulate_refuses_non_finite_threshold(capsys, fig1_path, h):
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--scenario", fig1_path, "--theta", "0.7", "--runs", "1000", "--seed", "1",
+         "--set", f"det.h={h}"],
+    )
+    assert code == 2
+    assert "h_override" in err and "p_hat" not in out
+
+
 # --- validate -------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from pmdkit import (
     DetectorConfig,
     DomainError,
     MeanProfile,
+    TransientExceedsWindowError,
     TransientModel,
     UnsupportedFamilyError,
     budget_gap,
@@ -132,6 +133,12 @@ def test_detector_override_and_validation():
         DetectorConfig(alpha=0.1, M=25, K=0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+def test_detector_refuses_non_finite_threshold_override(h):
+    with pytest.raises(DomainError, match="h_override"):
+        DetectorConfig(alpha=0.1, M=25, K=15, h_override=h)
+
+
 # --- scenario --------------------------------------------------------------
 
 
@@ -184,6 +191,16 @@ def test_timeline_zero_theta_has_no_transient():
     timeline = AttackTimeline(nu=3, theta=0.0, scenario=make_scenario("reciprocal"))
     assert timeline.transient_slots == 0
     assert slot_mean(timeline, 4) == pytest.approx(0.1)
+
+
+def test_transient_slots_is_the_one_truncation_rule():
+    scenario = make_scenario("reciprocal")  # L = 1.5 / theta
+    assert scenario.transient_slots(0.4) == 3  # floor(3.75)
+    assert scenario.transient_slots(0.5) == 3
+    assert scenario.transient_slots(0.0) == 0  # no attack
+    assert AttackTimeline(nu=2, theta=0.4, scenario=scenario).transient_slots == 3
+    with pytest.raises(TransientExceedsWindowError):
+        scenario.transient_slots(0.05)  # L = 30 > K = 15
 
 
 def test_timeline_validation():

@@ -1,8 +1,9 @@
-"""Worst-case solver: root function, bisection+Newton, golden section."""
+"""Worst-case solver: root function, lane-wise ITP, golden section."""
 
 import dataclasses
 import itertools
 import math
+import statistics
 from dataclasses import dataclass
 
 import mpmath
@@ -28,6 +29,7 @@ from pmdkit import (
     scenario_with_sensors,
     worst_case_pmd,
 )
+from pmdkit import optimize
 from pmdkit.optimize import solve
 
 from conftest import REFERENCE_CONFIGS, make_scenario
@@ -145,6 +147,56 @@ def test_exponential_fixed_point_identity():
         critical = find_critical_point(make_scenario("exponential", convention=convention))
         assert not critical.boundary
         assert critical.fixed_point_residual <= 1e-8
+
+
+def lane_ids(scenario, ms):
+    """Per-lane fields of a batched solve, for bit-for-bit comparison."""
+    lanes = optimize._critical_lanes(scenario, ms)
+    return [
+        (float(lanes.theta[i]), float(lanes.Q[i]), float(lanes.r[i]), float(lanes.L[i]),
+         int(lanes.iterations[i]), float(lanes.lo[i]), float(lanes.hi[i]), bool(lanes.boundary[i]))
+        for i in range(len(ms))
+    ]
+
+
+def single_ids(scenario, m):
+    resized = scenario_with_sensors(scenario, m)
+    critical, point = find_critical_point(resized), worst_case_pmd(resized)
+    assert (critical.theta_star, critical.Q_star) == (point.theta, point.Q)
+    return (critical.theta_star, critical.Q_star, point.r, point.L, critical.iterations,
+            *critical.bracket, critical.boundary)
+
+
+@pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
+def test_batched_lanes_equal_single_solves_bit_for_bit(transient, mean):
+    scenario = make_scenario(transient, mean)
+    ms = list(range(1, 41)) + [97, 1000, 31_623]
+    assert lane_ids(scenario, ms) == [single_ids(scenario, m) for m in ms]
+
+
+def test_batched_lanes_equal_single_solves_on_generated_pool(bench_pool):
+    ms = [1, 4, 13, 40, 121]
+    for scenario in bench_pool:
+        assert lane_ids(scenario, ms) == [single_ids(scenario, m) for m in ms]
+
+
+def test_itp_needs_few_evaluations_and_never_more_than_bisection(bench_pool):
+    interior = [c for c in map(solve, bench_pool) if not c.boundary]
+    assert len(interior) >= 40
+    assert statistics.median(c.iterations for c in interior) <= 12
+    for scenario, c in zip(bench_pool, map(solve, bench_pool)):
+        bisection = math.ceil(math.log2((scenario.theta_max - scenario.theta_min) / 1e-12))
+        assert c.iterations <= bisection
+
+
+def test_closed_form_solver_takes_no_newton_steps(fig1_scenario, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Newton polish called")
+
+    monkeypatch.setattr(optimize, "_newton_polish", refuse)
+    critical = find_critical_point(fig1_scenario)
+    assert critical.method == "itp" and critical.b_residual <= 1e-12
+    assert critical.fixed_point_residual <= 1e-12
 
 
 # --- golden section -----------------------------------------------------------
