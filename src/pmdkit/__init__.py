@@ -15,7 +15,6 @@ from .analytics import (
     SlotMiss,
     allocation_miss,
     log_pmd_derivative,
-    log_pmd_second_derivative,
     pmd,
     pmd_curve,
     q0,
@@ -34,15 +33,12 @@ from .errors import (
 )
 from .model import (
     AttackScenario,
-    AttackTimeline,
     DetectorConfig,
     MeanProfile,
     TransientModel,
     budget_gap,
-    kl_gaussian,
     parse_scenario,
     scenario_to_config,
-    slot_mean,
 )
 from .montecarlo import (
     SimConfig,
@@ -61,11 +57,10 @@ from .optimize import (
 from .sizing import SizingResult, min_sensors, scenario_with_sensors
 from . import stdnorm
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AttackScenario",
-    "AttackTimeline",
     "ConfigError",
     "CriticalPoint",
     "DetectorConfig",
@@ -89,9 +84,7 @@ __all__ = [
     "b_function",
     "budget_gap",
     "find_critical_point",
-    "kl_gaussian",
     "log_pmd_derivative",
-    "log_pmd_second_derivative",
     "maximize_unimodal",
     "min_sensors",
     "parse_scenario",
@@ -103,7 +96,6 @@ __all__ = [
     "simulate_allocation",
     "simulate_false_alarm",
     "simulate_pmd",
-    "slot_mean",
     "slot_miss",
     "stdnorm",
     "worst_case_pmd",

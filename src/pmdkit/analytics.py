@@ -217,12 +217,6 @@ def log_pmd_derivative(scenario: AttackScenario, theta: float) -> float:
     return _log_pmd_slopes(scenario, theta)[0]
 
 
-def log_pmd_second_derivative(scenario: AttackScenario, theta: float) -> float:
-    """d2r/dtheta2 at an interior theta (used to polish the critical point)."""
-    theta = _check_theta(theta, scenario.theta_min, scenario.theta_max, strict=True)
-    return _log_pmd_slopes(scenario, theta)[1]
-
-
 def allocation_miss(scenario: AttackScenario, allocations) -> float | np.ndarray:
     """Per-slot miss probability for an explicit per-sensor allocation.
 

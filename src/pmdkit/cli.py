@@ -168,7 +168,6 @@ def _cmd_simulate(args) -> int:
         theta=args.theta,
         runs=args.runs,
         seed=args.seed,
-        nu=args.nu,
         shards=args.shards,
     )
     estimate = montecarlo.simulate_pmd(config)
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shards", type=int, default=1)
-    p.add_argument("--nu", type=int, default=0, help="changepoint slot (default 0)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("validate", help="run the property battery for a scenario")

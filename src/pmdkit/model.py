@@ -1,5 +1,5 @@
 """Attack and detector model: mean-shift profiles, transient lengths,
-detector configuration, and the three-phase slot timeline.
+detector configuration, and the scenario that binds them.
 
 An attacked sensor reports N(mu(z), 1) where z is the per-sensor resource
 rate invested against it; mu is decreasing and strictly convex with
@@ -139,10 +139,12 @@ class TransientModel(_Profile):
 class DetectorConfig:
     """Shewhart detector: per-slot false-alarm alpha, M sensors, window K.
 
-    x_star = quantile(1 - alpha) and h = sqrt(M) * x_star are derived so
+    x_star = -quantile(alpha) and h = sqrt(M) * x_star are derived so
     that the nominal sum statistic crosses h with probability alpha each
-    slot. h_override replaces the calibrated threshold (diagnostics only,
-    e.g. negative controls in the validation battery).
+    slot. Negating the lower-tail quantile keeps full precision for tiny
+    alpha, where 1 - alpha would round (and round to 1 below 1.1e-16).
+    h_override replaces the calibrated threshold (diagnostics only, e.g.
+    negative controls in the validation battery).
     """
 
     alpha: float
@@ -162,7 +164,7 @@ class DetectorConfig:
             raise DomainError(f"K must be a positive integer, got {self.K!r}")
         object.__setattr__(self, "M", int(self.M))
         object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "x_star", float(stdnorm.quantile(1.0 - alpha)))
+        object.__setattr__(self, "x_star", -float(stdnorm.quantile(alpha)))
         if self.h_override is None:
             object.__setattr__(self, "h", math.sqrt(self.M) * self.x_star)
         else:
@@ -216,11 +218,6 @@ class AttackScenario:
             return theta / (self.detector.M if m is None else m)
         return theta
 
-    @property
-    def gamma_slope(self) -> float:
-        """d(gamma)/d(theta): the chain-rule constant for the convention."""
-        return self.gamma(1.0)
-
     def transient_length(self, theta) -> np.ndarray:
         """L(theta), float or elementwise, refusing a transient longer than K."""
         length = np.asarray(self.transient.value(theta), dtype=float)
@@ -245,53 +242,6 @@ class AttackScenario:
         if alloc.ndim not in (1, 2) or alloc.shape[-1] != m:
             raise DomainError(f"allocations must have shape ({m},) or (n, {m}), got {alloc.shape}")
         return np.sum(self.mean.value(alloc), axis=-1)
-
-
-@dataclass(frozen=True)
-class AttackTimeline:
-    """Slot-indexed mean sequence for changepoint nu and spend rate theta.
-
-    Slots 1..nu are nominal (mean 0), slots nu+1..nu+floor(L) are the
-    suppressed transient, and everything after reverts to the full shift
-    mu(0). The transient occupies a whole number of slots, so the real
-    valued L is truncated here and only here.
-    """
-
-    nu: int
-    theta: float
-    scenario: AttackScenario
-
-    def __post_init__(self):
-        if int(self.nu) != self.nu or self.nu < 0:
-            raise DomainError(f"nu must be a nonnegative integer, got {self.nu!r}")
-        object.__setattr__(self, "nu", int(self.nu))
-        theta = float(self.theta)
-        if not math.isfinite(theta) or theta < 0.0:
-            raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
-
-    @property
-    def transient_slots(self) -> int:
-        return self.scenario.transient_slots(self.theta)
-
-
-def slot_mean(timeline: AttackTimeline, n: int) -> float:
-    """Per-sensor mean of slot n (1-based) under the three-phase timeline."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"slot index n must be a positive integer, got {n!r}")
-    if n <= timeline.nu:
-        return 0.0
-    if n <= timeline.nu + timeline.transient_slots:
-        return float(timeline.scenario.mean.value(timeline.scenario.gamma(timeline.theta)))
-    return float(timeline.scenario.mean.value(0.0))
-
-
-def kl_gaussian(mu) -> float | np.ndarray:
-    """KL divergence D(N(mu,1) || N(0,1)) = mu^2 / 2."""
-    arr = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("mu must be finite")
-    out = 0.5 * arr * arr
-    return float(out) if np.ndim(mu) == 0 else out
 
 
 def budget_gap(scenario: AttackScenario, theta) -> float | np.ndarray:

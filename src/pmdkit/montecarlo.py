@@ -8,6 +8,12 @@ with h: the oracle never evaluates the closed forms it checks.
 simulate_allocation takes one length-M allocation, not the (n, M) stack
 that analytics.allocation_miss accepts.
 
+Where the changepoint nu falls cannot change a result, so it is not a
+parameter. The Shewhart rule has no memory: each slot alarms on that
+slot's sum alone, and pre-change slots are independent of post-change
+ones. The miss event over the K slots after the changepoint therefore
+depends only on those K slot sums, whose law does not involve nu.
+
 Reproducibility contract
 ------------------------
 Runs are processed in fixed-size blocks. Block b of a simulation seeded
@@ -33,6 +39,7 @@ from typing import Callable
 
 import numpy as np
 
+from .analytics import _check_theta
 from .errors import DomainError
 from .model import AttackScenario
 
@@ -44,14 +51,13 @@ _MASK64 = (1 << 64) - 1
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request; equal configs give bit-identical results.
-    The simulated window is the K slots after the changepoint nu, so nu
-    never changes an estimate."""
+    theta lies in [0, theta_max], as for analytics.slot_miss; theta = 0 is
+    the no-attack baseline."""
 
     scenario: AttackScenario
     theta: float
     runs: int
     seed: int
-    nu: int = 0
     shards: int = 1
 
     def __post_init__(self):
@@ -59,14 +65,9 @@ class SimConfig:
             raise DomainError(f"runs must be a positive integer, got {self.runs!r}")
         if int(self.shards) != self.shards or self.shards < 1:
             raise DomainError(f"shards must be a positive integer, got {self.shards!r}")
-        if int(self.nu) != self.nu or self.nu < 0:
-            raise DomainError(f"nu must be a nonnegative integer, got {self.nu!r}")
-        theta = float(self.theta)
-        if not math.isfinite(theta) or theta < 0.0:
-            raise DomainError(f"theta must be finite and >= 0, got {self.theta!r}")
+        _check_theta(self.theta, 0.0, self.scenario.theta_max)
         object.__setattr__(self, "runs", int(self.runs))
         object.__setattr__(self, "shards", int(self.shards))
-        object.__setattr__(self, "nu", int(self.nu))
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 

@@ -216,14 +216,9 @@ def _critical_lanes(scenario: AttackScenario, m) -> _Lanes:
     Each lane checks b at both domain edges (one kernel call for all
     lanes) and either settles on a boundary or joins the ITP search; a
     final kernel call evaluates r at every lane's theta_star. A
-    non-finite b on any lane raises NumericalError.
+    non-finite b on any lane raises NumericalError; the first b call
+    refuses a family without b with UnsupportedFamilyError.
     """
-    family = scenario.transient.family
-    if family not in CLOSED_FORM_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"the root search needs b, defined for {CLOSED_FORM_FAMILIES}; "
-            f"use maximize_unimodal for family {family!r}"
-        )
     m = np.asarray(m, dtype=float).reshape(-1)
     tmin, tmax = scenario.theta_min, scenario.theta_max
     # inf - inf in b is a nan that is reported, not a warning

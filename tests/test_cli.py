@@ -169,12 +169,14 @@ def test_simulate_deterministic_and_shard_invariant(capsys, fig1_path):
 
 
 def test_simulate_rejects_overlong_transient(capsys, fig3_path):
-    code, _, err = run_cli(
-        capsys,
-        ["simulate", "--scenario", fig3_path, "--theta", "0.05", "--runs", "10", "--seed", "1"],
-    )
-    assert code == 2
-    assert "window" in err
+    # theta = 0.05 stretches L past the window; theta = 100 is above theta_max = 1.5
+    for theta, message in (("0.05", "window"), ("100", "theta must lie in")):
+        code, out, err = run_cli(
+            capsys,
+            ["simulate", "--scenario", fig3_path, "--theta", theta, "--runs", "10", "--seed", "1"],
+        )
+        assert code == 2
+        assert message in err and "p_hat" not in out
 
 
 @pytest.mark.parametrize("h", ["nan", "inf"])

@@ -1,12 +1,12 @@
-"""Model-layer contracts: profiles, transients, timeline, config format."""
+"""Model-layer contracts: profiles, transients, detector, scenario, config format."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from pmdkit import (
-    AttackTimeline,
     ConfigError,
     DetectorConfig,
     DomainError,
@@ -15,10 +15,8 @@ from pmdkit import (
     TransientModel,
     UnsupportedFamilyError,
     budget_gap,
-    kl_gaussian,
     parse_scenario,
     scenario_to_config,
-    slot_mean,
 )
 from pmdkit.model import parse_config_text
 
@@ -120,6 +118,19 @@ def test_detector_derived_threshold():
     assert det.h == pytest.approx(5.0 * det.x_star, rel=1e-15)
 
 
+def test_detector_threshold_matches_high_precision_quantile():
+    # x_star solves erfc(x / sqrt(2)) / 2 = alpha, here to 60 digits in log
+    # space, down to alpha = 1e-300 where forming 1 - alpha would round to 1
+    with mpmath.workdps(60):
+        for alpha in [*np.logspace(-300, math.log10(0.49), 40), 1e-8, 1e-10, 1e-12]:
+            x_star = DetectorConfig(alpha=alpha, M=1, K=1).x_star
+            target = mpmath.log(mpmath.mpf(float(alpha)))
+            exact = mpmath.findroot(
+                lambda x: mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) - target, x_star
+            )
+            assert abs(x_star - exact) <= 1e-15 * abs(exact), alpha
+
+
 def test_detector_override_and_validation():
     det = DetectorConfig(alpha=0.1, M=25, K=15, h_override=2.0)
     assert det.h == 2.0
@@ -159,38 +170,20 @@ def test_gamma_conventions():
     per_sensor = make_scenario()
     raw = make_scenario(convention="raw")
     assert per_sensor.gamma(0.5) == pytest.approx(0.02, rel=1e-15)
-    assert per_sensor.gamma_slope == pytest.approx(1.0 / 25.0, rel=1e-15)
+    # d(gamma)/d(theta), the chain-rule constant of the convention
+    assert per_sensor.gamma(1.0) == pytest.approx(1.0 / 25.0, rel=1e-15)
     assert raw.gamma(0.5) == 0.5
-    assert raw.gamma_slope == 1.0
+    assert raw.gamma(1.0) == 1.0
 
 
-# --- timeline --------------------------------------------------------------
-
-
-def test_slot_mean_three_phases():
-    scenario = make_scenario("reciprocal")
-    timeline = AttackTimeline(nu=10, theta=0.5, scenario=scenario)
-    assert timeline.transient_slots == 3  # floor(1.5 / 0.5)
-    assert slot_mean(timeline, 5) == 0.0
-    assert slot_mean(timeline, 12) == pytest.approx(0.1 / 1.2, rel=1e-15)
-    assert slot_mean(timeline, 14) == pytest.approx(0.1, rel=1e-15)
-
-
-def test_slot_mean_transitions_exactly_at_nu_and_nu_plus_floor_L():
-    scenario = make_scenario("reciprocal")
-    timeline = AttackTimeline(nu=10, theta=0.4, scenario=scenario)  # floor(3.75) = 3
-    means = [slot_mean(timeline, n) for n in range(1, 31)]
-    transient_mean = scenario.mean.value(scenario.gamma(0.4))
-    expected = [0.0] * 10 + [transient_mean] * 3 + [0.1] * 17
-    assert means == pytest.approx(expected)
-    # exactly three distinct phases, in order
-    assert sorted(set(means)) == sorted({0.0, transient_mean, 0.1})
+# --- transient slots -------------------------------------------------------
 
 
 def test_timeline_zero_theta_has_no_transient():
-    timeline = AttackTimeline(nu=3, theta=0.0, scenario=make_scenario("reciprocal"))
-    assert timeline.transient_slots == 0
-    assert slot_mean(timeline, 4) == pytest.approx(0.1)
+    # theta = 0 is the no-attack baseline for every family, including the
+    # exponential one, whose L(0) = a = 15 would otherwise fill the window
+    for transient in ("reciprocal", "exponential"):
+        assert make_scenario(transient).transient_slots(0.0) == 0
 
 
 def test_transient_slots_is_the_one_truncation_rule():
@@ -198,35 +191,11 @@ def test_transient_slots_is_the_one_truncation_rule():
     assert scenario.transient_slots(0.4) == 3  # floor(3.75)
     assert scenario.transient_slots(0.5) == 3
     assert scenario.transient_slots(0.0) == 0  # no attack
-    assert AttackTimeline(nu=2, theta=0.4, scenario=scenario).transient_slots == 3
     with pytest.raises(TransientExceedsWindowError):
         scenario.transient_slots(0.05)  # L = 30 > K = 15
 
 
-def test_timeline_validation():
-    scenario = make_scenario()
-    with pytest.raises(DomainError):
-        AttackTimeline(nu=-1, theta=0.5, scenario=scenario)
-    with pytest.raises(DomainError):
-        AttackTimeline(nu=0, theta=-0.5, scenario=scenario)
-    with pytest.raises(DomainError):
-        slot_mean(AttackTimeline(nu=0, theta=0.5, scenario=scenario), 0)
-
-
-# --- kl and budget diagnostics ----------------------------------------------
-
-
-def test_kl_gaussian_values():
-    assert kl_gaussian(0.0) == 0.0
-    assert kl_gaussian(0.1) == pytest.approx(0.005, rel=1e-15)
-
-
-def test_kl_decreases_with_spend_rate():
-    for convention in ("per_sensor", "raw"):
-        scenario = make_scenario(convention=convention)
-        thetas = np.linspace(0.1, 1.5, 300)
-        kl = kl_gaussian(scenario.mean.value(scenario.gamma(thetas)))
-        assert np.all(np.diff(kl) < 0)
+# --- budget diagnostic -------------------------------------------------------
 
 
 def test_budget_gap_diagnostic():

@@ -13,7 +13,6 @@ import pytest
 
 from pmdkit import (
     AttackScenario,
-    AttackTimeline,
     DetectorConfig,
     DomainError,
     MeanProfile,
@@ -26,7 +25,6 @@ from pmdkit import (
     simulate_allocation,
     simulate_false_alarm,
     simulate_pmd,
-    slot_mean,
     slot_miss,
 )
 from pmdkit import montecarlo
@@ -73,12 +71,20 @@ def per_sensor_reference(config, block_runs, sensor_means, hit):
     return montecarlo._estimate(hits, config.runs)
 
 
+def reference_slot_means(scenario, theta):
+    """Per-sensor mean of each of the K post-change slots: mu(gamma(theta))
+    for the floor(L) transient slots, then the full shift mu(0)."""
+    slots = scenario.transient_slots(theta)
+    transient = scenario.mean.value(scenario.gamma(theta))
+    full = scenario.mean.value(0.0)
+    return np.array([transient if j < slots else full for j in range(scenario.detector.K)])
+
+
 def reference_pmd(config):
     """simulate_pmd by the per-sensor draw: every sensor of post-change slot j
-    reads around that slot's timeline mean."""
+    reads around that slot's mean."""
     det = config.scenario.detector
-    timeline = AttackTimeline(nu=config.nu, theta=config.theta, scenario=config.scenario)
-    means = np.array([slot_mean(timeline, config.nu + j) for j in range(1, det.K + 1)])
+    means = reference_slot_means(config.scenario, config.theta)
     sensor_means = np.repeat(means[:, None], det.M, axis=1)
     return per_sensor_reference(
         config, montecarlo.PMD_BLOCK_RUNS, sensor_means, lambda y: (y < det.h).all(axis=1)
@@ -136,7 +142,7 @@ def test_different_seeds_differ(fig1_scenario):
 def test_single_sensor_matches_per_sensor_draw_bit_for_bit(transient, theta):
     # at M = 1 both samplers consume the same variates in the same order, and
     # 1.0 * z + mean == z + mean, so every run lands on the same side of h;
-    # the reference builds its slot means from AttackTimeline and slot_mean
+    # the reference builds its slot means in reference_slot_means
     scenario = dataclasses.replace(make_scenario(M=1), transient=transient)
     config = SimConfig(scenario=scenario, theta=theta, runs=10_000, seed=SEED)
     assert simulate_pmd(config) == reference_pmd(config)
@@ -246,15 +252,6 @@ def test_worst_case_theta_star_matches_closed_form(transient, mean):
     )
 
 
-def test_changepoint_location_does_not_matter(fig1_scenario):
-    early = simulate_pmd(SimConfig(scenario=fig1_scenario, theta=0.7, runs=20_000, seed=SEED))
-    late = simulate_pmd(
-        SimConfig(scenario=fig1_scenario, theta=0.7, runs=20_000, seed=SEED, nu=40)
-    )
-    # same per-slot means after the changepoint, same stream: identical
-    assert early.p_hat == late.p_hat
-
-
 # --- false alarm calibration ----------------------------------------------------
 
 
@@ -351,7 +348,7 @@ def test_config_validation(fig1_scenario):
     with pytest.raises(DomainError):
         SimConfig(scenario=fig1_scenario, theta=-1.0, runs=10, seed=SEED)
     with pytest.raises(DomainError):
-        SimConfig(scenario=fig1_scenario, theta=0.7, runs=10, seed=SEED, nu=-1)
+        SimConfig(scenario=fig1_scenario, theta=100.0, runs=10, seed=SEED)  # theta_max = 1.5
 
 
 def test_allocation_validation(fig1_scenario):

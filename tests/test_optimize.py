@@ -372,6 +372,8 @@ def test_worst_case_rejects_budget_floor():
     )
     with pytest.raises(UnsupportedFamilyError):
         worst_case_pmd(scenario)
+    with pytest.raises(UnsupportedFamilyError):
+        find_critical_point(scenario)
 
 
 def test_solve_routes_custom_family_to_golden_section():
