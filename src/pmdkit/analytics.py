@@ -14,13 +14,13 @@ Every quantity comes from one array-first kernel, _kernel, which works
 in log space: log q = log_cdf(u), and with the Mills ratio
 lam = exp(log pdf(u) - log cdf(u)) and u' = du/dtheta,
 
-    d log q / dtheta   = lam * u'
-    d2 log q / dtheta2 = -lam * (u + lam) * u'^2 + lam * u''
-    dr/dtheta          = L' * (log q - log q0) + L * d log q / dtheta
+    d log q / dtheta = lam * u'
+    dr/dtheta        = L' * (log q - log q0) + L * d log q / dtheta
 
-so neither q nor q0 underflowing to 0 stops r or its derivatives. The
-public functions validate their arguments and are thin views over the
-kernel; internal callers (the optimizer) call the kernel directly.
+so neither q nor q0 underflowing to 0 stops r or its slope, and q is
+reported as exp(log q). No result needs a second derivative. The public
+functions validate their arguments and are thin views over the kernel;
+internal callers (the optimizer) call the kernel directly.
 """
 
 from __future__ import annotations
@@ -39,13 +39,12 @@ from .model import AttackScenario
 
 @dataclass(frozen=True)
 class SlotMiss:
-    """Per-slot miss probability and its first two theta-derivatives."""
+    """Per-slot miss probability and its theta-derivative."""
 
     theta: float
     q_theta: float
     q0: float
     dq_dtheta: float
-    d2q_dtheta2: float
 
 
 @dataclass(frozen=True)
@@ -72,26 +71,20 @@ class PmdCurve:
 class _Slot(NamedTuple):
     """Kernel output, elementwise over the broadcast of theta and M."""
 
-    q: float | np.ndarray
     log_q: float | np.ndarray
     log_q0: float | np.ndarray
     dlog_q: float | np.ndarray
-    d2log_q: float | np.ndarray
 
 
 # a huge shift overflows to inf on purpose (numpy arithmetic, where Python
 # floats would raise); the solver reports the nan that follows
 @np.errstate(over="ignore", invalid="ignore")
-def _kernel(scenario: AttackScenario, theta, m=None, order: int = 2) -> _Slot:
-    """Per-slot quantities at theta (float or ndarray), unchecked.
+def _kernel(scenario: AttackScenario, theta, m=None) -> _Slot:
+    """log q, log q0 and d log q/dtheta at theta (float or ndarray), unchecked.
 
     m is the sensor count, the detector's M by default; an ndarray of
     counts makes one lane per entry, broadcast against theta. Every step
     is elementwise, so a lane's values do not depend on the other lanes.
-    order=1 leaves out q and d2log_q (None) for callers that need only
-    log q and its slope. q is reported as cdf(u) directly, which is more
-    accurate than exp(log q) in the central range; everything else stays
-    in log space.
     """
     det = scenario.detector
     if m is None:
@@ -99,23 +92,14 @@ def _kernel(scenario: AttackScenario, theta, m=None, order: int = 2) -> _Slot:
     else:
         sqrt_m = np.sqrt(m)
     cf = scenario.gamma(1.0, m)
-    mu, mu1, mu2 = scenario.mean._profile(scenario.gamma(np.asarray(theta, dtype=float), m))
+    mu, mu1 = scenario.mean._profile(scenario.gamma(np.asarray(theta, dtype=float), m))
     u = det.x_star - sqrt_m * mu
     du = -sqrt_m * mu1 * cf
     log_q = special.log_ndtr(u)
     # mu(0) = c for every mean family
     log_q0 = special.log_ndtr(det.x_star - sqrt_m * scenario.mean.c)
     lam = np.exp(-0.5 * u * u - stdnorm.LOG_SQRT_2PI - log_q)
-    if order == 1:
-        return _Slot(q=None, log_q=log_q, log_q0=log_q0, dlog_q=lam * du, d2log_q=None)
-    d2u = -sqrt_m * mu2 * cf**2
-    return _Slot(
-        q=special.ndtr(u),
-        log_q=log_q,
-        log_q0=log_q0,
-        dlog_q=lam * du,
-        d2log_q=-lam * (u + lam) * du**2 + lam * d2u,
-    )
+    return _Slot(log_q=log_q, log_q0=log_q0, dlog_q=lam * du)
 
 
 def _log_pmd(scenario: AttackScenario, theta, length=None, m=None):
@@ -133,17 +117,12 @@ def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = No
     return PmdPoint(theta=theta, L=float(length), Q=math.exp(r), r=float(r))
 
 
-def _log_pmd_slopes(scenario: AttackScenario, theta: float) -> tuple[float, float]:
-    """(dr/dtheta, d2r/dtheta2) from one kernel call, unchecked."""
-    transient = scenario.transient
+def _log_pmd_slope(scenario: AttackScenario, theta: float) -> float:
+    """dr/dtheta from one kernel call, unchecked."""
     length = scenario.transient_length(theta)
-    d1 = transient.derivative(theta)
-    d2 = transient.second_derivative(theta)
+    d1 = scenario.transient.derivative(theta)
     slot = _kernel(scenario, theta)
-    log_ratio = slot.log_q - slot.log_q0
-    slope = d1 * log_ratio + length * slot.dlog_q
-    curvature = d2 * log_ratio + 2.0 * d1 * slot.dlog_q + length * slot.d2log_q
-    return float(slope), float(curvature)
+    return float(d1 * (slot.log_q - slot.log_q0) + length * slot.dlog_q)
 
 
 def _check_theta(theta, lo: float, hi: float, strict: bool = False) -> float:
@@ -169,13 +148,12 @@ def slot_miss(scenario: AttackScenario, theta: float) -> SlotMiss:
     """
     theta = _check_theta(theta, 0.0, scenario.theta_max)
     slot = _kernel(scenario, theta)
-    q = float(slot.q)
+    q = float(np.exp(slot.log_q))
     return SlotMiss(
         theta=theta,
         q_theta=q,
         q0=float(np.exp(slot.log_q0)),
         dq_dtheta=float(q * slot.dlog_q),
-        d2q_dtheta2=float(q * (slot.d2log_q + slot.dlog_q**2)),
     )
 
 
@@ -208,13 +186,13 @@ def pmd_curve(scenario: AttackScenario, thetas) -> PmdCurve:
     if not ((th >= lo - 1e-12) & (th <= hi + 1e-12)).all():  # also refuses nan
         raise DomainError(f"thetas must be finite and lie in [{lo}, {hi}]")
     length, slot, r = _log_pmd(scenario, th)
-    return PmdCurve(theta=th, L=length, q_theta=slot.q, Q=np.exp(r), r=r)
+    return PmdCurve(theta=th, L=length, q_theta=np.exp(slot.log_q), Q=np.exp(r), r=r)
 
 
 def log_pmd_derivative(scenario: AttackScenario, theta: float) -> float:
     """dr/dtheta at an interior theta; zero exactly at the worst case."""
     theta = _check_theta(theta, scenario.theta_min, scenario.theta_max, strict=True)
-    return _log_pmd_slopes(scenario, theta)[0]
+    return _log_pmd_slope(scenario, theta)
 
 
 def allocation_miss(scenario: AttackScenario, allocations) -> float | np.ndarray:

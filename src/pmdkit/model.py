@@ -33,8 +33,8 @@ def _require_positive(value: float, name: str) -> float:
 
 
 class _Profile:
-    """value, derivative and second_derivative of a model family: checked
-    views over the subclass's unchecked _profile(x) = (f, f', f'')."""
+    """value and derivative of a model family: checked views over the
+    subclass's unchecked _profile(x) = (f, f')."""
 
     def _view(self, x, order: int) -> float | np.ndarray:
         out = self._profile(self._check(x))[order]
@@ -47,9 +47,6 @@ class _Profile:
 
     def derivative(self, x) -> float | np.ndarray:
         return self._view(x, 1)
-
-    def second_derivative(self, x) -> float | np.ndarray:
-        return self._view(x, 2)
 
 
 @dataclass(frozen=True)
@@ -82,13 +79,13 @@ class MeanProfile(_Profile):
 
     @np.errstate(over="ignore", invalid="ignore")
     def _profile(self, z):
-        """(mu, mu', mu'') at z, unchecked; callers validate z. A huge k
-        or c overflows to inf (inf / inf to nan) on purpose."""
+        """(mu, mu') at z, unchecked; callers validate z. A huge k or c
+        overflows to inf (inf / inf to nan) on purpose."""
         if self.family == "rational":
             d = 1.0 + self.k * z
-            return self.c / d, -self.c * self.k / d**2, 2.0 * self.c * (self.k * self.k) / d**3
+            return self.c / d, -self.c * self.k / d**2
         e = np.exp(-self.k * z)
-        return self.c * e, -self.c * self.k * e, self.c * (self.k * self.k) * e
+        return self.c * e, -self.c * self.k * e
 
 
 @dataclass(frozen=True)
@@ -126,13 +123,13 @@ class TransientModel(_Profile):
         return arr
 
     def _profile(self, theta):
-        """(L, L', L'') at theta, unchecked; budget_floor has no derivatives."""
+        """(L, L') at theta, unchecked; budget_floor has no derivative."""
         if self.family == "reciprocal":
-            return self.A / theta, -self.A / theta**2, 2.0 * self.A / theta**3
+            return self.A / theta, -self.A / theta**2
         if self.family == "exponential":
             e = np.exp(-theta)
-            return self.a * e, -self.a * e, self.a * e
-        return np.floor(self.A / theta), None, None
+            return self.a * e, -self.a * e
+        return np.floor(self.A / theta), None
 
 
 @dataclass(frozen=True)

@@ -148,49 +148,12 @@ def test_first_derivative_matches_central_differences(transient, mean, conventio
 
 
 @pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
-@pytest.mark.parametrize("convention", ["per_sensor", "raw"])
-def test_second_derivative_matches_central_differences(transient, mean, convention):
-    # second differences of q need a wider step (1e-4) before rounding
-    # noise dominates, and even then carry an absolute noise floor of
-    # ~4*ulp(q)/step^2 ~ 5e-8 (binding where the raw convention drives
-    # the curvature itself below that); the analytic first derivative
-    # gives a second, floor-free cross-check at 1e-5
-    scenario = make_scenario(transient, mean, convention=convention)
-    for theta in np.linspace(0.12, 1.48, 40):
-        miss = slot_miss(scenario, theta)
-        step = 1e-4
-        fd2 = (
-            slot_miss(scenario, theta + step).q_theta
-            - 2 * miss.q_theta
-            + slot_miss(scenario, theta - step).q_theta
-        ) / step**2
-        assert abs(miss.d2q_dtheta2 - fd2) <= max(1e-5 * abs(miss.d2q_dtheta2), 1e-7)
-        step = 1e-5
-        fd_of_dq = (
-            slot_miss(scenario, theta + step).dq_dtheta
-            - slot_miss(scenario, theta - step).dq_dtheta
-        ) / (2 * step)
-        assert miss.d2q_dtheta2 == pytest.approx(fd_of_dq, rel=1e-6)
-
-
-@pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
 def test_log_pmd_derivative_matches_central_differences(transient, mean):
     scenario = make_scenario(transient, mean)
     step = 1e-5
     for theta in np.linspace(0.12, 1.48, 40):
         fd = (pmd(scenario, theta + step).r - pmd(scenario, theta - step).r) / (2 * step)
         assert log_pmd_derivative(scenario, theta) == pytest.approx(fd, rel=1e-5)
-
-
-def test_log_pmd_second_derivative_matches_differences_of_derivative(fig1_scenario):
-    step = 1e-5
-    for theta in np.linspace(0.15, 1.45, 20):
-        fd = (
-            log_pmd_derivative(fig1_scenario, theta + step)
-            - log_pmd_derivative(fig1_scenario, theta - step)
-        ) / (2 * step)
-        # the curvature behind maximize_unimodal's Newton polish
-        assert analytics._log_pmd_slopes(fig1_scenario, theta)[1] == pytest.approx(fd, rel=1e-5)
 
 
 def test_log_pmd_derivative_errors():

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pmdkit
-from pmdkit import TransientModel, scenario_to_config
+from pmdkit import TransientModel, cli, scenario_to_config, stdnorm
 from pmdkit.cli import main
 
 from conftest import make_scenario
@@ -194,17 +195,36 @@ def test_simulate_refuses_non_finite_threshold(capsys, fig1_path, h):
 
 
 def test_validate_passes_on_reference_scenario(capsys, fig1_path):
-    code, out, _ = run_cli(capsys, ["validate", "--scenario", fig1_path, "--runs", "20000"])
-    assert code == 0
-    for name in (
-        "mills_positivity",
-        "derivative_consistency",
-        "jensen_allocation",
-        "mc_pmd_agreement",
-        "false_alarm_calibration",
-    ):
-        assert f"PASS {name}" in out
-    assert "result=ok" in out
+    # many sensors or a steep profile bend q sharply; a correct scenario
+    # must still pass every check
+    for overrides in ([], ["--set", "det.M=1000"], ["--set", "mu.k=1000"]):
+        code, out, _ = run_cli(
+            capsys, ["validate", "--scenario", fig1_path, "--runs", "20000", *overrides]
+        )
+        assert code == 0
+        for name in (
+            "mills_positivity",
+            "derivative_consistency",
+            "jensen_allocation",
+            "mc_pmd_agreement",
+            "false_alarm_calibration",
+        ):
+            assert f"PASS {name}" in out
+        assert "result=ok" in out
+
+
+@pytest.mark.parametrize("lo,hi", [(-30.0, np.inf), (-38.0, -30.0), (-np.inf, -38.0)])
+def test_mills_check_fails_on_a_sign_flip_in_any_regime(monkeypatch, lo, hi):
+    # mills_margin switches formula at -30 and -38; the check must probe each
+    real = stdnorm.mills_margin
+
+    def flipped(x):
+        arr = np.asarray(x)
+        return np.where((arr >= lo) & (arr < hi), -real(arr), real(arr))
+
+    monkeypatch.setattr(stdnorm, "mills_margin", flipped)
+    ok, _ = cli._check_mills(make_scenario("exponential", "rational"))
+    assert not ok
 
 
 def test_validate_tampered_threshold_fails_with_exit_5(capsys, fig1_path):
@@ -218,12 +238,13 @@ def test_validate_tampered_threshold_fails_with_exit_5(capsys, fig1_path):
 
 
 def test_validate_rejects_nonconvex_profile_before_running(capsys, fig1_path):
-    code, out, err = run_cli(
-        capsys, ["validate", "--scenario", fig1_path, "--set", "mu.k=-5"]
-    )
-    assert code == 2
-    assert "PASS" not in out
-    assert "k" in err
+    # a refused run count surfaces only in the Monte Carlo check, yet
+    # nothing may reach stdout before the error
+    for overrides, message in ((["--set", "mu.k=-5"], "k"), (["--runs", "0"], "runs")):
+        code, out, err = run_cli(capsys, ["validate", "--scenario", fig1_path, *overrides])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 def test_pmd_curve_supports_budget_floor_scenarios(tmp_path, capsys):
@@ -261,9 +282,26 @@ def test_unknown_override_key_rejected(capsys, fig1_path):
     assert "unknown key" in err
 
 
-def test_missing_scenario_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, ["optimize", "--scenario", str(tmp_path / "nope.cfg")])
-    assert code == 2
+def test_missing_scenario_file(capsys, tmp_path, fig1_path):
+    # a missing, a directory or a non-UTF-8 scenario, and an --out that is
+    # a directory: each is a one-line usage error that names the path
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("mu.family = rational  # \xe9\n".encode("latin-1"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    curve = ["pmd-curve", "--scenario", fig1_path, "--theta-min", "0.1", "--theta-max", "1.5",
+             "--steps", "2", "--M-list", "5", "--out", str(out_dir)]
+    for argv, path in (
+        (["optimize", "--scenario", str(tmp_path / "nope.cfg")], "nope.cfg"),
+        (["optimize", "--scenario", str(tmp_path)], str(tmp_path)),
+        (["optimize", "--scenario", str(latin1)], "latin1.cfg"),
+        (curve, str(out_dir)),
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1.cfg", "latin1.cfg", "out"]
 
 
 def test_module_entry_point(fig1_path):

@@ -189,11 +189,7 @@ def test_itp_needs_few_evaluations_and_never_more_than_bisection(bench_pool):
         assert c.iterations <= bisection
 
 
-def test_closed_form_solver_takes_no_newton_steps(fig1_scenario, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Newton polish called")
-
-    monkeypatch.setattr(optimize, "_newton_polish", refuse)
+def test_closed_form_solver_takes_no_newton_steps(fig1_scenario):
     critical = find_critical_point(fig1_scenario)
     assert critical.method == "itp" and critical.b_residual <= 1e-12
     assert critical.fixed_point_residual <= 1e-12
@@ -229,9 +225,6 @@ class LinearTransient:
 
     def derivative(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), -1.0)
-
-    def second_derivative(self, theta):
-        return np.zeros_like(np.asarray(theta, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,9 @@ def deep_tail_scenario(c=10.0):
 def test_deep_tail_solves_in_log_space_against_mpmath():
     scenario = deep_tail_scenario()
     det = scenario.detector
-    mpmath.mp.dps = 50
 
+    # scoped, so later tests keep mpmath's default precision
+    @mpmath.workdps(50)
     def log_q(theta):
         # the same chain in 50-digit arithmetic, from the detector's own x_star
         mu = mpmath.mpf(10) / (1 + 10 * mpmath.mpf(theta) / det.M)
