@@ -9,6 +9,8 @@ precision in a handful of b evaluations. This script walks through the
 diagnostics that come back with the answer.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from pmdkit import (
@@ -25,7 +27,7 @@ FIG3 = "scenarios/fig3.cfg"
 
 
 def main():
-    scenario = parse_scenario(open(FIG1).read())
+    scenario = parse_scenario(Path(FIG1).read_text(encoding="utf-8"))
 
     print("b(theta) is the optimizer's steering signal: positive means")
     print("log Q still rises, negative means it is already falling.\n")
@@ -41,7 +43,7 @@ def main():
     print(f"  ITP b evaluations    = {critical.iterations}")
 
     # cross-check three ways: sign flip of the derivative, a dense grid,
-    # and the derivative-free golden-section route
+    # and the derivative-free grid-zoom reference
     below = log_pmd_derivative(scenario, critical.theta_star - 0.05)
     above = log_pmd_derivative(scenario, critical.theta_star + 0.05)
     print(f"  dr/dtheta just below / above: {below:+.4f} / {above:+.4f}")
@@ -50,12 +52,12 @@ def main():
     grid_theta = thetas[int(np.argmax(pmd_curve(scenario, thetas).Q))]
     print(f"  100k-point grid argmax        = {grid_theta:.7f}")
 
-    golden = maximize_unimodal(scenario)
-    print(f"  golden-section route          = {golden.theta_star:.12f} "
-          f"(|dr/dtheta| = {golden.fixed_point_residual:.2e})")
+    reference = maximize_unimodal(scenario)
+    print(f"  grid-zoom reference           = {reference.theta_star:.12f} "
+          f"(|dr/dtheta| = {reference.fixed_point_residual:.2e})")
 
     print("\nbudget-reciprocal transient (boundary maximum):")
-    scenario3 = parse_scenario(open(FIG3).read())
+    scenario3 = parse_scenario(Path(FIG3).read_text(encoding="utf-8"))
     critical3 = find_critical_point(scenario3)
     print(f"  theta* = {critical3.theta_star} boundary={critical3.boundary}")
     print("  For L = A/theta the steering signal satisfies b(0) = 0 and only")

@@ -19,12 +19,13 @@ from pmdkit.sizing import scenario_with_sensors
 from pmdkit.optimize import worst_case_pmd
 
 import dataclasses
+from pathlib import Path
 
 DELTA = 0.05
 
 
 def run(convention):
-    scenario = parse_scenario(open("scenarios/fig1.cfg").read())
+    scenario = parse_scenario(Path("scenarios/fig1.cfg").read_text(encoding="utf-8"))
     scenario = dataclasses.replace(scenario, gamma_convention=convention)
     result = min_sensors(scenario, delta=DELTA, m_max=100)
     print(f"\n--- convention = {convention} ---")

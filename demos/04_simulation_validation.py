@@ -9,6 +9,7 @@ bits, regardless of shard count).
 """
 
 import math
+from pathlib import Path
 
 from pmdkit import (
     SimConfig,
@@ -24,7 +25,7 @@ SEED = 20240809
 
 
 def main():
-    scenario = parse_scenario(open("scenarios/fig1.cfg").read())
+    scenario = parse_scenario(Path("scenarios/fig1.cfg").read_text(encoding="utf-8"))
 
     print("1) Missed detection at the adversary's spend rate 0.7")
     theta = 0.7

@@ -57,7 +57,7 @@ from .optimize import (
 from .sizing import SizingResult, min_sensors, scenario_with_sensors
 from . import stdnorm
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AttackScenario",

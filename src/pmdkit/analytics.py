@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special
 
 from . import stdnorm
-from .errors import DomainError, TransientExceedsWindowError
+from .errors import DomainError, NumericalError, TransientExceedsWindowError
 from .model import AttackScenario
 
 
@@ -104,11 +104,16 @@ def _kernel(scenario: AttackScenario, theta, m=None) -> _Slot:
 
 def _log_pmd(scenario: AttackScenario, theta, length=None, m=None):
     """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)
-    and m, the sensor count lanes, to the detector's M."""
+    and m, the sensor count lanes, to the detector's M. A non-finite r
+    (log q = log q0 = -inf, from an overflowing shift) raises NumericalError."""
     if length is None:
         length = scenario.transient_length(theta)
     slot = _kernel(scenario, theta, m)
-    return length, slot, length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
+    with np.errstate(invalid="ignore"):  # -inf - -inf is the nan refused below
+        r = length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
+    if not np.isfinite(r).all():
+        raise NumericalError("log Q is not finite: the mean shift overflows the normal tail")
+    return length, slot, r
 
 
 def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = None) -> PmdPoint:

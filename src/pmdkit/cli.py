@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     InfeasibleAtCapError,
     MonotonicityError,
-    NonUnimodalError,
     NumericalError,
     PmdkitError,
     TransientExceedsWindowError,
@@ -125,8 +124,8 @@ def _cmd_optimize(args) -> int:
     scenario = _load_scenario(args.scenario, args.set)
     try:
         critical = optimize.solve(scenario)
-    except (UnsupportedFamilyError, NonUnimodalError, NumericalError,
-            TransientExceedsWindowError, DomainError) as exc:
+    except (UnsupportedFamilyError, NumericalError, TransientExceedsWindowError,
+            DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPTIMIZE
     for line in _header_lines(scenario, "optimize-v1"):
@@ -200,27 +199,30 @@ def _check_mills(scenario: AttackScenario) -> tuple[bool, str]:
     return worst > 0.0, f"min_margin={worst:.6e}"
 
 
+def _richardson_slope(f, theta: np.ndarray, h: float) -> np.ndarray:
+    """Richardson-extrapolated central difference (4 D(h/2) - D(h)) / 3 of f."""
+    y = f(np.concatenate((theta - h, theta - 0.5 * h, theta + 0.5 * h, theta + h)))
+    far_lo, near_lo, near_hi, far_hi = np.split(y, 4)
+    return (4.0 * (near_hi - near_lo) / h - (far_hi - far_lo) / (2.0 * h)) / 3.0
+
+
 def _check_derivatives(scenario: AttackScenario) -> tuple[bool, str]:
     grid = np.linspace(scenario.theta_min, scenario.theta_max, 27)[1:-1]
-    eps1 = 1e-5
-    worst = 0.0
+    h = 3e-3 * (scenario.theta_max - scenario.theta_min)
 
-    def rel(a: float, b: float) -> float:
-        return abs(a - b) / max(abs(a), abs(b), 1e-300)
+    def rel(a: np.ndarray, b: np.ndarray) -> float:
+        return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)))
 
+    # dq against q times the slope of log q: log q stays resolved where q is near 0 or 1
+    misses = [analytics.slot_miss(scenario, theta) for theta in grid]
+    log_q_slope = _richardson_slope(lambda t: analytics._kernel(scenario, t).log_q, grid, h)
+    worst = rel(np.array([m.dq_dtheta for m in misses]),
+                np.array([m.q_theta for m in misses]) * log_q_slope)
     differentiable = scenario.transient.family != "budget_floor"
-    for theta in grid:
-        miss = analytics.slot_miss(scenario, theta)
-        q_hi = analytics.slot_miss(scenario, theta + eps1).q_theta
-        q_lo = analytics.slot_miss(scenario, theta - eps1).q_theta
-        worst = max(worst, rel(miss.dq_dtheta, (q_hi - q_lo) / (2.0 * eps1)))
-        if differentiable:
-            r_hi = analytics.pmd(scenario, theta + eps1).r
-            r_lo = analytics.pmd(scenario, theta - eps1).r
-            worst = max(
-                worst,
-                rel(analytics.log_pmd_derivative(scenario, theta), (r_hi - r_lo) / (2.0 * eps1)),
-            )
+    if differentiable:
+        r_slope = _richardson_slope(lambda t: analytics.pmd_curve(scenario, t).r, grid, h)
+        dr = np.array([analytics.log_pmd_derivative(scenario, theta) for theta in grid])
+        worst = max(worst, rel(dr, r_slope))
     note = "" if differentiable else " (dr skipped: budget_floor)"
     return worst <= 1e-5, f"max_rel_err={worst:.6e}{note}"
 

@@ -45,7 +45,7 @@ from . import stdnorm
 from .analytics import _kernel
 from .errors import DomainError, InfeasibleAtCapError, MonotonicityError
 from .model import AttackScenario
-from .optimize import CLOSED_FORM_FAMILIES, _critical_lanes, worst_case_pmd
+from .optimize import _critical_lanes
 
 LANE_CHUNK = 64  # sensor counts per batched solve or bound probe
 _MONOTONE_SLACK = 1e-12
@@ -113,11 +113,8 @@ def _upper_bound(scenario: AttackScenario, delta: float, m_lo: int, m_max: int) 
 
 
 def _worst_q(scenario: AttackScenario, ms: np.ndarray) -> np.ndarray:
-    """Worst-case Q at each sensor count: one batched solve for the
-    closed-form families, golden section M by M otherwise."""
-    if scenario.transient.family in CLOSED_FORM_FAMILIES:
-        return _critical_lanes(scenario, ms).Q
-    return np.array([worst_case_pmd(scenario_with_sensors(scenario, int(m))).Q for m in ms])
+    """Worst-case Q at each sensor count, from one batched solve."""
+    return _critical_lanes(scenario, ms).Q
 
 
 def min_sensors(scenario_template: AttackScenario, delta: float, m_max: int) -> SizingResult:

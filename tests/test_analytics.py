@@ -13,6 +13,7 @@ import pytest
 from pmdkit import (
     DomainError,
     MeanProfile,
+    NumericalError,
     TransientExceedsWindowError,
     TransientModel,
     UnsupportedFamilyError,
@@ -237,3 +238,12 @@ def test_pmd_curve_domain_checks(fig1_scenario):
         pmd_curve(fig1_scenario, np.linspace(0.0, 1.5, 10))
     with pytest.raises(DomainError):
         pmd_curve(fig1_scenario, np.array([]))
+
+
+def test_overflowing_shift_raises_numerical_error(fig1_scenario):
+    # log q = log q0 = -inf: r would be nan, and must not reach a caller
+    scenario = dataclasses.replace(fig1_scenario, mean=MeanProfile("rational", c=1e308, k=10.0))
+    with pytest.raises(NumericalError):
+        pmd(scenario, 0.5)
+    with pytest.raises(NumericalError):
+        pmd_curve(scenario, np.linspace(0.1, 1.5, 5))

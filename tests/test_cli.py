@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import pmdkit
-from pmdkit import TransientModel, cli, scenario_to_config, stdnorm
+from pmdkit import TransientModel, analytics, cli, scenario_to_config, stdnorm
 from pmdkit.cli import main
 
-from conftest import make_scenario
+from conftest import REFERENCE_CONFIGS, make_scenario
 
 
 @pytest.fixture
@@ -74,15 +74,20 @@ def test_pmd_curve_is_byte_identical_across_runs(tmp_path, capsys, fig1_path):
         ["--theta-min", "0.5", "--theta-max", "0.1", "--steps", "10"],
         ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "1"],
         ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "10", "--M-list", "5,x"],
+        # log q = log q0 = -inf: Q would print as nan
+        ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "10", "--set", "mu.c=1e308"],
     ],
 )
 def test_pmd_curve_usage_errors(tmp_path, capsys, fig1_path, bad_args):
-    argv = ["pmd-curve", "--scenario", fig1_path, "--out", str(tmp_path / "c.csv")]
+    out = tmp_path / "c.csv"
+    argv = ["pmd-curve", "--scenario", fig1_path, "--out", str(out)]
     if "--M-list" not in bad_args:
         argv += ["--M-list", "5"]
-    code, _, err = run_cli(capsys, argv + bad_args)
+    code, stdout, err = run_cli(capsys, argv + bad_args)
     assert code == 2
-    assert "error" in err.lower()
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- optimize ----------------------------------------------------------------
@@ -195,9 +200,10 @@ def test_simulate_refuses_non_finite_threshold(capsys, fig1_path, h):
 
 
 def test_validate_passes_on_reference_scenario(capsys, fig1_path):
-    # many sensors or a steep profile bend q sharply; a correct scenario
-    # must still pass every check
-    for overrides in ([], ["--set", "det.M=1000"], ["--set", "mu.k=1000"]):
+    # many sensors or a steep profile bend q sharply, and a tiny alpha puts
+    # q near 1; a correct scenario must still pass every check
+    for overrides in ([], ["--set", "det.M=1000"], ["--set", "mu.k=1000"],
+                      ["--set", "det.alpha=1e-8"]):
         code, out, _ = run_cli(
             capsys, ["validate", "--scenario", fig1_path, "--runs", "20000", *overrides]
         )
@@ -225,6 +231,35 @@ def test_mills_check_fails_on_a_sign_flip_in_any_regime(monkeypatch, lo, hi):
     monkeypatch.setattr(stdnorm, "mills_margin", flipped)
     ok, _ = cli._check_mills(make_scenario("exponential", "rational"))
     assert not ok
+
+
+def perturb_slot_miss(monkeypatch, factor):
+    real = analytics.slot_miss
+    monkeypatch.setattr(analytics, "slot_miss", lambda scenario, theta: dataclasses.replace(
+        real(scenario, theta), dq_dtheta=factor * real(scenario, theta).dq_dtheta))
+
+
+def perturb_log_pmd_derivative(monkeypatch, factor):
+    real = analytics.log_pmd_derivative
+    monkeypatch.setattr(analytics, "log_pmd_derivative",
+                        lambda scenario, theta: factor * real(scenario, theta))
+
+
+@pytest.mark.parametrize("perturb", [perturb_slot_miss, perturb_log_pmd_derivative])
+@pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
+def test_derivative_check_catches_a_small_error(monkeypatch, perturb, transient, mean):
+    scenario = make_scenario(transient, mean)
+    assert cli._check_derivatives(scenario)[0]
+    perturb(monkeypatch, 1.0 + 1e-4)
+    assert not cli._check_derivatives(scenario)[0]
+
+
+def test_validate_perturbed_derivative_fails_with_exit_5(capsys, monkeypatch, fig1_path):
+    perturb_slot_miss(monkeypatch, 1.0 + 1e-4)
+    code, out, _ = run_cli(capsys, ["validate", "--scenario", fig1_path, "--runs", "2000"])
+    assert code == 5
+    assert "FAIL derivative_consistency" in out
+    assert "result=failed" in out
 
 
 def test_validate_tampered_threshold_fails_with_exit_5(capsys, fig1_path):

@@ -1,4 +1,4 @@
-"""Worst-case solver: root function, lane-wise ITP, golden section."""
+"""Worst-case solver: root function, lane-wise ITP, grid-zoom reference."""
 
 import dataclasses
 import itertools
@@ -70,7 +70,7 @@ def test_b_unsupported_family():
     floor_scenario = dataclasses.replace(
         scenario, transient=TransientModel("budget_floor", A=1.5)
     )
-    with pytest.raises(UnsupportedFamilyError, match="maximize_unimodal"):
+    with pytest.raises(UnsupportedFamilyError, match="budget_floor"):
         b_function(floor_scenario, 0.5)
 
 
@@ -195,14 +195,14 @@ def test_closed_form_solver_takes_no_newton_steps(fig1_scenario):
     assert critical.fixed_point_residual <= 1e-12
 
 
-# --- golden section -----------------------------------------------------------
+# --- grid-zoom reference -------------------------------------------------------
 
 
 def test_golden_section_agrees_with_closed_form(fig1_scenario):
     golden = maximize_unimodal(fig1_scenario)
     closed = find_critical_point(fig1_scenario)
     assert golden.theta_star == pytest.approx(closed.theta_star, abs=1e-8)
-    assert golden.method == "golden-section"
+    assert golden.method == "grid-zoom"
     assert golden.fixed_point_residual <= 1e-8
 
 
@@ -210,6 +210,21 @@ def test_golden_section_returns_boundary_for_decreasing_profile(fig3_scenario):
     result = maximize_unimodal(fig3_scenario)
     assert result.boundary
     assert result.theta_star == fig3_scenario.theta_min
+
+
+def test_reference_brackets_itp_on_generated_pool(bench_pool):
+    # the reference reads only values of r; its bracket must enclose the
+    # root ITP finds from b, and the two must agree on every boundary
+    for scenario in bench_pool:
+        solved, reference = solve(scenario), maximize_unimodal(scenario)
+        width = scenario.theta_max - scenario.theta_min
+        for result in (solved, reference):
+            assert result.bracket[0] <= result.theta_star <= result.bracket[1]
+        if solved.boundary:
+            assert (reference.theta_star, reference.boundary) == (solved.theta_star, True)
+        else:
+            assert reference.bracket[0] <= solved.theta_star <= reference.bracket[1]
+            assert abs(reference.theta_star - solved.theta_star) <= 1e-7 * width
 
 
 @dataclass(frozen=True)
@@ -370,9 +385,13 @@ def test_worst_case_rejects_budget_floor():
         find_critical_point(scenario)
 
 
-def test_solve_routes_custom_family_to_golden_section():
+def test_solve_refuses_custom_family():
+    # only the closed-form families have a solver; a duck-typed transient
+    # is for maximize_unimodal alone
     scenario = dataclasses.replace(
         make_scenario("reciprocal", theta_min=0.2, theta_max=1.5),
         transient=LinearTransient(A=1.5),
     )
-    assert solve(scenario).method == "golden-section"
+    for call in (solve, worst_case_pmd, lambda s: min_sensors(s, 0.05, 100)):
+        with pytest.raises(UnsupportedFamilyError, match="budget_floor"):
+            call(scenario)
