@@ -2,9 +2,10 @@
 
 The detector only sees each slot's sum of M unit-variance sensor readings,
 and the sum of M independent N(mu_i, 1) is exactly N(sum mu_i, M). So a
-slot costs one standard normal z, scaled to sqrt(M) * z + sum mu_i, and a
-K-slot run K normals, not K * M. Slot sums stay Gaussian variates compared
-with h: the oracle never evaluates the closed forms it checks.
+slot costs one standard normal z: its sum sqrt(M) * z + sum mu_i stays
+below h exactly when z < cut = (h - sum mu_i) / sqrt(M), and a K-slot run
+costs at most K normals, not K * M. The oracle compares Gaussian variates
+with the cut: it never evaluates the closed forms it checks.
 simulate_allocation takes one length-M allocation, not the (n, M) stack
 that analytics.allocation_miss accepts.
 
@@ -19,14 +20,16 @@ Reproducibility contract
 Runs are processed in fixed-size blocks. Block b of a simulation seeded
 with s draws from ``Philox(key = (s << 64) | b)``, a counter-based
 generator, and normal variates come from numpy's ``standard_normal``
-(ziggurat transform of that stream), one per slot and run. Each block
-therefore depends only on (seed, block index, block size), and block
-sizes are compile-time constants, so estimates are bit-identical across
-reruns and across any shard count: shards merely group whole blocks, and
-the reduction is an integer sum. Sharded execution uses threads (numpy
-releases the GIL while filling arrays); the result never depends on
-completion order. Because each slot takes one variate, not M, estimates
-for a given seed differ from earlier releases, which drew every sensor;
+(ziggurat transform of that stream). They are drawn slot by slot, only
+for the block's runs whose z stayed below every earlier slot's cut: those
+runs are exchangeable, so their count alone goes on to the next slot.
+Each block therefore depends only on (seed, block index, block size), and
+block sizes are compile-time constants, so estimates are bit-identical
+across reruns and across any shard count: shards merely group whole
+blocks, and the reduction is an integer sum. Sharded execution uses
+threads (numpy releases the GIL while filling arrays); the result never
+depends on completion order. simulate_pmd estimates for a given seed
+differ from releases before 0.5.0, which drew all K slots of every run;
 the output format is unchanged.
 """
 
@@ -35,12 +38,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .analytics import _check_theta
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import AttackScenario
 
 PMD_BLOCK_RUNS = 4096        # runs per block when a run spans K slots
@@ -97,41 +99,44 @@ def _block_stream(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | (block & _MASK64)))
 
 
-def _simulate(
-    config: SimConfig, block_runs: int, sum_means, count: Callable[[np.ndarray], int]
-) -> SimEstimate:
-    """Share of runs that ``count`` selects, where a run is one slot sum
-    N(sum_means, M) per entry of ``sum_means`` (scalar or length K)."""
+@np.errstate(over="ignore")
+def _survivors(config: SimConfig, block_runs: int, sum_means) -> int:
+    """Runs whose slot sums N(sum_means[j], M) all stay below h: z_j < cut_j
+    for one standard normal per slot, drawn only while the run survives."""
+    det = config.scenario.detector
+    cuts = (det.h - np.atleast_1d(sum_means)) / math.sqrt(det.M)
+    if not np.isfinite(cuts).all():
+        raise NumericalError("slot cut (h - M * mean) / sqrt(M) is not finite: the shift overflows")
     runs, shards = config.runs, config.shards
-    scale = math.sqrt(config.scenario.detector.M)
-    shape = np.shape(sum_means)
     n_blocks = (runs + block_runs - 1) // block_runs
 
     def shard_total(shard: int) -> int:
         total = 0
         for b in range(shard, n_blocks, shards):
-            n = min(block_runs, runs - b * block_runs)
-            z = _block_stream(config.seed, b).standard_normal((n, *shape))
-            total += count(scale * z + sum_means)
+            rng = _block_stream(config.seed, b)
+            left = min(block_runs, runs - b * block_runs)
+            for cut in cuts:
+                left = int(np.count_nonzero(rng.standard_normal(left) < cut))
+                if not left:
+                    break
+            total += left
         return total
 
     if shards == 1:
-        hits = shard_total(0)
-    else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            hits = sum(pool.map(shard_total, range(shards)))
-    return _estimate(hits, runs)
+        return shard_total(0)
+    with ThreadPoolExecutor(max_workers=shards) as pool:
+        return sum(pool.map(shard_total, range(shards)))
 
 
+@np.errstate(over="ignore")  # an overflowing M * mean_j is refused as a cut
 def simulate_pmd(config: SimConfig) -> SimEstimate:
     """Fraction of runs with no alarm in the K slots after the changepoint.
 
     Sensor readings in post-change slot j are N(mean_j, 1) around the
-    timeline mean (the transient truncated to whole slots), so a run draws
-    K standard normals and counts a miss when every slot sum
-    y_j = sqrt(M) * z_j + M * mean_j stays below h. Pre-change slots are
-    independent of post-change ones and are not simulated. Estimates for a
-    given seed differ from earlier releases, which drew all K * M readings.
+    timeline mean (the transient truncated to whole slots). A run counts a
+    miss when every slot sum y_j = sqrt(M) * z_j + M * mean_j stays below
+    h, and stops drawing at its first alarm. Pre-change slots are
+    independent of post-change ones and are not simulated.
     """
     scenario = config.scenario
     det = scenario.detector
@@ -139,10 +144,7 @@ def simulate_pmd(config: SimConfig) -> SimEstimate:
     means = np.full(det.K, scenario.mean.c, dtype=float)
     slots = scenario.transient_slots(config.theta)
     means[:slots] = scenario.mean.value(scenario.gamma(config.theta))
-    h = det.h
-    return _simulate(
-        config, PMD_BLOCK_RUNS, det.M * means, lambda y: int((y < h).all(axis=1).sum())
-    )
+    return _estimate(_survivors(config, PMD_BLOCK_RUNS, det.M * means), config.runs)
 
 
 def simulate_false_alarm(config: SimConfig) -> SimEstimate:
@@ -151,8 +153,7 @@ def simulate_false_alarm(config: SimConfig) -> SimEstimate:
     Calibration check: with the derived threshold this should match the
     configured per-slot false-alarm probability alpha.
     """
-    h = config.scenario.detector.h
-    return _simulate(config, SLOT_BLOCK_RUNS, 0.0, lambda y: int((y >= h).sum()))
+    return _estimate(config.runs - _survivors(config, SLOT_BLOCK_RUNS, 0.0), config.runs)
 
 
 def simulate_allocation(config: SimConfig, allocations) -> SimEstimate:
@@ -161,5 +162,4 @@ def simulate_allocation(config: SimConfig, allocations) -> SimEstimate:
     shift = config.scenario.allocation_shift(allocations)
     if np.ndim(shift) != 0:
         raise DomainError("simulate_allocation takes one allocation vector, not a stack")
-    h = config.scenario.detector.h
-    return _simulate(config, SLOT_BLOCK_RUNS, shift, lambda y: int((y < h).sum()))
+    return _estimate(_survivors(config, SLOT_BLOCK_RUNS, shift), config.runs)

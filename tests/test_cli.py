@@ -196,6 +196,18 @@ def test_simulate_refuses_non_finite_threshold(capsys, fig1_path, h):
     assert "h_override" in err and "p_hat" not in out
 
 
+def test_simulate_refuses_overflowing_mean_shift(capsys, fig1_path):
+    # M * mu.c overflows, so every slot cut is -inf and p_hat would print as 0
+    code, out, err = run_cli(
+        capsys,
+        ["simulate", "--scenario", fig1_path, "--theta", "0.7", "--runs", "100", "--seed", "1",
+         "--set", "mu.c=1e308"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- validate -------------------------------------------------------------------
 
 

@@ -59,16 +59,24 @@ def agree_within_three_sigma(run_a, run_b, seed=SEED):
     raise AssertionError(f"{a.p_hat} and {b.p_hat} differ by more than 3 sigma even after retry")
 
 
-def per_sensor_reference(config, block_runs, sensor_means, hit):
-    """The per-sensor sampler the sum identity replaced: draw every sensor's
-    reading (sensor_means has shape (K, M) or (M,)) from the same block
-    streams, sum over sensors, and count the runs that ``hit`` selects."""
-    hits = 0
+def per_sensor_reference(config, block_runs, sensor_means):
+    """Runs whose slot sums all stay below h, by the per-sensor draw the sum
+    identity replaced. Row j of sensor_means holds the M sensor means of
+    slot j. Each block draws every sensor's reading of slot j, from the same
+    streams as the sampler, for the runs still below h only, and compares
+    the slot's standardized sum with the same cut (h - sum of means) /
+    sqrt(M) that the sampler uses."""
+    m = sensor_means.shape[1]
+    cuts = (config.scenario.detector.h - sensor_means.sum(axis=1)) / math.sqrt(m)
+    survivors = 0
     for b in range(-(-config.runs // block_runs)):
-        n = min(block_runs, config.runs - b * block_runs)
-        x = montecarlo._block_stream(config.seed, b).standard_normal((n, *sensor_means.shape))
-        hits += int(np.sum(hit((x + sensor_means).sum(axis=-1))))
-    return montecarlo._estimate(hits, config.runs)
+        stream = montecarlo._block_stream(config.seed, b)
+        left = min(block_runs, config.runs - b * block_runs)
+        for cut in cuts:
+            x = stream.standard_normal((left, m))
+            left = int(np.count_nonzero(x.sum(axis=1) / math.sqrt(m) < cut))
+        survivors += left
+    return survivors
 
 
 def reference_slot_means(scenario, theta):
@@ -86,9 +94,8 @@ def reference_pmd(config):
     det = config.scenario.detector
     means = reference_slot_means(config.scenario, config.theta)
     sensor_means = np.repeat(means[:, None], det.M, axis=1)
-    return per_sensor_reference(
-        config, montecarlo.PMD_BLOCK_RUNS, sensor_means, lambda y: (y < det.h).all(axis=1)
-    )
+    misses = per_sensor_reference(config, montecarlo.PMD_BLOCK_RUNS, sensor_means)
+    return montecarlo._estimate(misses, config.runs)
 
 
 # --- reproducibility ----------------------------------------------------------
@@ -126,6 +133,21 @@ def test_different_seeds_differ(fig1_scenario):
     assert a.p_hat != b.p_hat
 
 
+def test_single_slot_hit_counts_are_frozen(fig1_scenario):
+    # exact counts at SEED from the sampler that compared each slot sum
+    # sqrt(M) * z + shift with h; comparing z with the cut (h - shift) / sqrt(M)
+    # draws the same variates and must move none of them
+    alarms = simulate_false_alarm(
+        SimConfig(scenario=fig1_scenario, theta=0.0, runs=200_000, seed=SEED)
+    )
+    assert alarms.p_hat == 20141 / 200_000
+    scenario = make_scenario("reciprocal", M=25)
+    misses = simulate_allocation(
+        SimConfig(scenario=scenario, theta=1.0, runs=200_000, seed=SEED), np.linspace(0.0, 0.08, 25)
+    )
+    assert misses.p_hat == 163864 / 200_000
+
+
 # --- sum identity: agreement with the per-sensor draw -------------------------
 
 
@@ -140,9 +162,10 @@ def test_different_seeds_differ(fig1_scenario):
     ids=lambda transient: transient.family,
 )
 def test_single_sensor_matches_per_sensor_draw_bit_for_bit(transient, theta):
-    # at M = 1 both samplers consume the same variates in the same order, and
-    # 1.0 * z + mean == z + mean, so every run lands on the same side of h;
-    # the reference builds its slot means in reference_slot_means
+    # at M = 1 both samplers draw the same variates in the same order, slot by
+    # slot for the surviving runs, and compare them with the same cut h - mean_j
+    # (M * mean_j and the division by sqrt(M) are exact), so every run lands on
+    # the same side; the reference builds its slot means in reference_slot_means
     scenario = dataclasses.replace(make_scenario(M=1), transient=transient)
     config = SimConfig(scenario=scenario, theta=theta, runs=10_000, seed=SEED)
     assert simulate_pmd(config) == reference_pmd(config)
@@ -156,32 +179,32 @@ def test_pmd_agrees_with_per_sensor_draw(fig1_scenario):
 
 
 def test_false_alarm_agrees_with_per_sensor_draw(fig1_scenario):
-    h, m = fig1_scenario.detector.h, fig1_scenario.detector.M
+    m = fig1_scenario.detector.M
 
     def config(s):
         return SimConfig(scenario=fig1_scenario, theta=0.0, runs=200_000, seed=s)
 
-    agree_within_three_sigma(
-        lambda s: simulate_false_alarm(config(s)),
-        lambda s: per_sensor_reference(
-            config(s), montecarlo.SLOT_BLOCK_RUNS, np.zeros(m), lambda y: y >= h
-        ),
-    )
+    def reference(s):
+        cfg = config(s)
+        below = per_sensor_reference(cfg, montecarlo.SLOT_BLOCK_RUNS, np.zeros((1, m)))
+        return montecarlo._estimate(cfg.runs - below, cfg.runs)
+
+    agree_within_three_sigma(lambda s: simulate_false_alarm(config(s)), reference)
 
 
 def test_allocation_agrees_with_per_sensor_draw_for_unequal_split():
     scenario = make_scenario("reciprocal", M=25)
     alloc = np.linspace(0.0, 0.08, 25)  # total 1.0, from 0 up to twice the even share
-    sensor_means = np.asarray(scenario.mean.value(alloc), dtype=float)
-    h = scenario.detector.h
+    sensor_means = np.asarray(scenario.mean.value(alloc), dtype=float)[None, :]
 
     def config(s):
         return SimConfig(scenario=scenario, theta=1.0, runs=200_000, seed=s)
 
     agree_within_three_sigma(
         lambda s: simulate_allocation(config(s), alloc),
-        lambda s: per_sensor_reference(
-            config(s), montecarlo.SLOT_BLOCK_RUNS, sensor_means, lambda y: y < h
+        lambda s: montecarlo._estimate(
+            per_sensor_reference(config(s), montecarlo.SLOT_BLOCK_RUNS, sensor_means),
+            config(s).runs,
         ),
     )
 
