@@ -57,7 +57,7 @@ from .optimize import (
 from .sizing import SizingResult, min_sensors, scenario_with_sensors
 from . import stdnorm
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "AttackScenario",

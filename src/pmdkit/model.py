@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stdnorm
-from .errors import ConfigError, DomainError, TransientExceedsWindowError, UnsupportedFamilyError
+from .errors import ConfigError, DomainError, TransientExceedsWindowError
 
 MEAN_FAMILIES = ("rational", "exponential")
-TRANSIENT_FAMILIES = ("reciprocal", "exponential", "budget_floor")
+TRANSIENT_FAMILIES = ("reciprocal", "exponential")
 GAMMA_CONVENTIONS = ("per_sensor", "raw")
 _L_SLACK = 1e-9  # tolerance when checking L(theta) <= K at the boundary
 
@@ -38,8 +38,6 @@ class _Profile:
 
     def _view(self, x, order: int) -> float | np.ndarray:
         out = self._profile(self._check(x))[order]
-        if out is None:
-            raise UnsupportedFamilyError(f"{self.family} transient is not differentiable")
         return float(out) if np.ndim(x) == 0 else out
 
     def value(self, x) -> float | np.ndarray:
@@ -92,13 +90,13 @@ class MeanProfile(_Profile):
 class TransientModel(_Profile):
     """Transient length L(theta): slots the budget lasts at spend rate theta.
 
-    reciprocal:   L = A / theta        (real-valued relaxation)
-    exponential:  L = a * exp(-theta)
-    budget_floor: L = floor(A / theta) (integer; simulator semantics)
+    reciprocal:  L = A / theta
+    exponential: L = a * exp(-theta)
 
     A is the total budget; a is the exponential scale and is only used by
-    that family. The closed-form analysis treats L as real valued; only
-    the simulator truncates to whole slots.
+    that family. The closed-form analysis treats L as real valued; the
+    simulator runs AttackScenario.transient_slots(theta) = floor(L) whole
+    slots, which pmd(..., transient_slots=...) reproduces in closed form.
     """
 
     family: str
@@ -122,14 +120,14 @@ class TransientModel(_Profile):
             raise DomainError("theta must be finite and > 0")
         return arr
 
+    @np.errstate(over="ignore", divide="ignore")
     def _profile(self, theta):
-        """(L, L') at theta, unchecked; budget_floor has no derivative."""
+        """(L, L') at theta, unchecked. A tiny theta, or a huge A or a,
+        overflows L to inf on purpose; the window check L <= K refuses it."""
         if self.family == "reciprocal":
             return self.A / theta, -self.A / theta**2
-        if self.family == "exponential":
-            e = np.exp(-theta)
-            return self.a * e, -self.a * e
-        return np.floor(self.A / theta), None
+        e = np.exp(-theta)
+        return self.a * e, -self.a * e
 
 
 @dataclass(frozen=True)

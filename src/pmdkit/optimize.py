@@ -1,7 +1,7 @@
 """Worst-case spend rate: the theta maximizing the missed-detection
 probability, and the value there.
 
-For the two closed-form transient families, dr/dtheta factors through a
+For both transient families, dr/dtheta factors through a
 strictly decreasing function b(theta) whose sign matches dr/dtheta:
 
     reciprocal  (L = A/theta):     b = -(log q - log q0) + theta * d log q/dtheta
@@ -43,8 +43,8 @@ at the theta_min boundary: the adversary stretches the transient across
 as much of the window as the budget allows. Interior critical points
 occur for the exponential family, where b(0) > 0.
 
-maximize_unimodal checks the root search from values of r alone. solve,
-worst_case_pmd and sizing refuse other families (UnsupportedFamilyError).
+maximize_unimodal checks the root search from values of r alone; solve,
+worst_case_pmd and sizing refuse any other (duck-typed) transient family.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ from .analytics import (
     PmdPoint, _check_theta, _kernel, _log_pmd, _log_pmd_slope, _pmd_point, _Slot,
 )
 from .errors import NonUnimodalError, NumericalError, UnsupportedFamilyError
-from .model import AttackScenario
-
-CLOSED_FORM_FAMILIES = ("reciprocal", "exponential")
+from .model import TRANSIENT_FAMILIES, AttackScenario
 
 ITP_EPS = 1e-12             # root search: half-width of the bracket target
 ITP_KAPPA1 = 0.2            # ITP truncation scale, per unit of initial bracket width
@@ -84,7 +82,7 @@ B_NOISE_FLOOR = 1e-13
 class CriticalPoint:
     """Solver output: the worst-case theta and solution diagnostics.
 
-    b_residual is |b(theta_star)|, nan for a transient without b;
+    b_residual is |b(theta_star)|, nan for a duck-typed transient;
     fixed_point_residual checks the family's rearranged stationarity
     identity (theta = q log(q/q0) / q' for the reciprocal family, q =
     q'/log(q/q0) for the exponential one), or is |dr/dtheta| for a
@@ -129,10 +127,9 @@ def _b_of(family: str, theta, slot) -> float | np.ndarray:
 def _b(scenario: AttackScenario, theta, m=None) -> float | np.ndarray:
     """b at theta, per sensor-count lane of m; unchecked in theta."""
     family = scenario.transient.family
-    if family not in CLOSED_FORM_FAMILIES:
+    if family not in TRANSIENT_FAMILIES:
         raise UnsupportedFamilyError(
-            f"no solver for transient family {family!r}: budget_floor is a simulator-only "
-            "transient; optimize over the matching real-valued family instead"
+            f"no solver for transient family {family!r}; expected one of {TRANSIENT_FAMILIES}"
         )
     return _b_of(family, theta, _kernel(scenario, theta, m))
 
@@ -323,15 +320,12 @@ def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
             theta = hi = tmax
 
     fp_res = math.nan
-    if not at_edge:
-        try:
-            fp_res = abs(_log_pmd_slope(scenario, theta))
-        except (UnsupportedFamilyError, AttributeError):
-            fp_res = math.nan
+    if not at_edge and hasattr(scenario.transient, "derivative"):
+        fp_res = abs(_log_pmd_slope(scenario, theta))
 
     point = _pmd_point(scenario, theta)
     family = scenario.transient.family
-    b_res = float(abs(_b(scenario, theta))) if family in CLOSED_FORM_FAMILIES else math.nan
+    b_res = float(abs(_b(scenario, theta))) if family in TRANSIENT_FAMILIES else math.nan
     return CriticalPoint(
         theta_star=theta,
         Q_star=point.Q,

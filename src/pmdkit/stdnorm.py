@@ -5,8 +5,8 @@ kind. Accuracy matters more than usual here: downstream code raises the
 per-slot miss probability to powers of order K, so CDF error is amplified
 roughly K-fold. The CDF is evaluated through the complementary error
 function (relative error around 1e-15 in the central range, positive all
-the way down to x = -38), and the quantile is a rational approximation
-polished by two Halley steps against that CDF.
+the way down to x = -38), and the quantile is scipy's ndtri, within a
+few ulps of the exact root.
 """
 
 from __future__ import annotations
@@ -70,22 +70,14 @@ def log_cdf(x) -> float | np.ndarray:
 def quantile(p) -> float | np.ndarray:
     """Inverse of cdf: the x with cdf(x) = p, for p strictly in (0, 1).
 
-    A rational initial approximation is refined by two Halley steps
-    against cdf, which pins the residual |cdf(x) - p| below 1e-12
-    independent of the initial approximation's own error.
+    scipy's ndtri, which lies within 4 ulps of the exact root on
+    [1e-300, 1 - 1e-16] (checked against mpmath); Halley steps against
+    cdf do not bring it closer.
     """
     arr = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie strictly between 0 and 1")
-    x = special.ndtri(arr)
-    for _ in range(2):
-        dens = np.exp(-0.5 * x * x) / SQRT_2PI
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = (special.ndtr(x) - arr) / dens
-            step = d / (1.0 + 0.5 * x * d)
-        # where the density underflows the initial approximation is final
-        x = np.where(np.isfinite(step), x - step, x)
-    return _like_input(x, p)
+    return _like_input(special.ndtri(arr), p)
 
 
 def mills_margin(x) -> float | np.ndarray:

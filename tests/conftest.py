@@ -57,13 +57,25 @@ def fig3_scenario():
     return make_scenario("reciprocal", "rational")
 
 
-@pytest.fixture(scope="session")
-def bench_pool():
-    """The analytic-sweep benchmark's scenario pool: bench/gen.py, seed 1,
-    128 scenarios (every eighth in the deep tail)."""
+def _gen():
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
     import gen
 
-    return tuple(item.scenario for item in gen.generate(1, 128))
+    return gen
+
+
+@pytest.fixture(scope="session")
+def bench_pool():
+    """The analytic-sweep benchmark's scenario pool: bench/gen.py, seed 1,
+    128 scenarios (every eighth in the deep tail)."""
+    return tuple(item.scenario for item in _gen().generate(1, 128))
+
+
+@pytest.fixture(scope="session")
+def bench_pools_1_3():
+    """bench/gen.py pools of 64 for seeds 1-3: 192 GenScenario items, 24
+    of them (item.deep_tail) in the deep tail."""
+    gen = _gen()
+    return tuple(item for seed in (1, 2, 3) for item in gen.generate(seed, 64))

@@ -15,8 +15,6 @@ from pmdkit import (
     MeanProfile,
     NumericalError,
     TransientExceedsWindowError,
-    TransientModel,
-    UnsupportedFamilyError,
     allocation_miss,
     log_pmd_derivative,
     pmd,
@@ -161,11 +159,6 @@ def test_log_pmd_derivative_errors():
     scenario = make_scenario("reciprocal")
     with pytest.raises(DomainError):
         log_pmd_derivative(scenario, 0.1)  # boundary is not interior
-    floor_scenario = dataclasses.replace(
-        scenario, transient=TransientModel("budget_floor", A=1.5)
-    )
-    with pytest.raises(UnsupportedFamilyError):
-        log_pmd_derivative(floor_scenario, 0.5)
 
 
 # --- allocation law ---------------------------------------------------------

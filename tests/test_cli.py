@@ -1,16 +1,22 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pmdkit
-from pmdkit import TransientModel, analytics, cli, scenario_to_config, stdnorm
+from pmdkit import analytics, cli, scenario_to_config, stdnorm
 from pmdkit.cli import main
+from pmdkit.model import CONFIG_KEYS
 
 from conftest import REFERENCE_CONFIGS, make_scenario
 
@@ -113,15 +119,15 @@ def test_optimize_reports_boundary_flag(capsys, fig3_path):
     assert "theta_star=0.1" in out
 
 
-def test_optimize_unsupported_family_exits_3(tmp_path, capsys):
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal"), transient=TransientModel("budget_floor", A=1.5)
+def test_optimize_budget_floor_config_exits_2(capsys, fig3_path):
+    # the family was removed in 0.6.0; the config error names the families left
+    code, out, err = run_cli(
+        capsys, ["optimize", "--scenario", fig3_path, "--set", "L.family=budget_floor"]
     )
-    path = tmp_path / "floor.cfg"
-    path.write_text(scenario_to_config(scenario))
-    code, _, err = run_cli(capsys, ["optimize", "--scenario", str(path)])
-    assert code == 3
-    assert "budget_floor" in err
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "reciprocal" in err
 
 
 def test_optimize_report_is_deterministic(capsys, fig1_path):
@@ -284,6 +290,33 @@ def test_validate_tampered_threshold_fails_with_exit_5(capsys, fig1_path):
     assert "result=failed" in out
 
 
+def test_validate_slightly_high_threshold_fails_calibration(capsys, fig1_path):
+    # h 2 % above calibration moves fig1's per-slot false-alarm rate from
+    # 0.100 to about 0.096: caught at the z threshold of 3, missed at 30
+    h = 1.02 * make_scenario("exponential", "rational").detector.h
+    code, out, _ = run_cli(capsys, ["validate", "--scenario", fig1_path, "--set", f"det.h={h!r}"])
+    assert code == 5
+    line = next(l for l in out.splitlines() if l.startswith("FAIL false_alarm_calibration "))
+    assert 3.0 < float(line.split("z=")[1].split()[0]) < 30.0
+
+
+def test_jensen_check_passes_on_generated_pools(bench_pools_1_3):
+    for item in bench_pools_1_3:
+        ok, detail = cli._check_jensen(item.scenario)
+        assert ok, (item.name, detail)
+
+
+def test_jensen_check_catches_a_small_log_space_error(monkeypatch, bench_pools_1_3):
+    # in the deep tail every miss underflows to 0, so only log space can
+    # see the allocation path drift 1e-6 (relative) above the closed form
+    scenario = next(item.scenario for item in bench_pools_1_3 if item.deep_tail)
+    assert analytics.slot_miss(scenario, scenario.theta_min).q_theta == 0.0
+    assert cli._check_jensen(scenario)[0]
+    real = stdnorm.log_cdf
+    monkeypatch.setattr(stdnorm, "log_cdf", lambda x: (1.0 - 1e-6) * real(x))
+    assert not cli._check_jensen(scenario)[0]
+
+
 def test_validate_rejects_nonconvex_profile_before_running(capsys, fig1_path):
     # a refused run count surfaces only in the Monte Carlo check, yet
     # nothing may reach stdout before the error
@@ -292,26 +325,6 @@ def test_validate_rejects_nonconvex_profile_before_running(capsys, fig1_path):
         assert code == 2
         assert out == ""
         assert message in err
-
-
-def test_pmd_curve_supports_budget_floor_scenarios(tmp_path, capsys):
-    # the simulator-semantics transient is plottable: L column holds the
-    # floored integer values
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal"), transient=TransientModel("budget_floor", A=1.5)
-    )
-    path = tmp_path / "floor.cfg"
-    path.write_text(scenario_to_config(scenario))
-    out = tmp_path / "floor.csv"
-    code, _, _ = run_cli(
-        capsys,
-        ["pmd-curve", "--scenario", str(path), "--theta-min", "0.1", "--theta-max", "1.5",
-         "--steps", "30", "--M-list", "25", "--out", str(out)],
-    )
-    assert code == 0
-    lines = [l for l in out.read_text().splitlines() if l and not l.startswith(("#", "theta"))]
-    l_values = {float(line.split(",")[2]) for line in lines}
-    assert l_values <= {float(k) for k in range(16)}
 
 
 def test_validate_passes_on_boundary_family_scenario(capsys, fig3_path):
@@ -362,3 +375,66 @@ def test_module_entry_point(fig1_path):
     )
     assert result.returncode == 0
     assert "theta_star=" in result.stdout
+
+
+# --- exit-code contract -----------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBCOMMAND_ARGS = {
+    "pmd-curve": ["--theta-min", "0.2", "--theta-max", "1.0", "--steps", "5", "--M-list", "5,25"],
+    "optimize": [],
+    "min-sensors": ["--delta", "0.05", "--m-max", "100"],
+    "simulate": ["--theta", "0.7", "--runs", "200", "--seed", "1"],
+    "validate": ["--runs", "200"],
+}
+TYPICAL = {
+    "mu.family": "exponential", "mu.c": "0.1", "mu.k": "10.0", "L.family": "reciprocal",
+    "L.A": "1.5", "L.a": "15.0", "det.alpha": "0.1", "det.M": "25", "det.K": "15",
+    "det.h": "6.4", "theta.min": "0.1", "theta.max": "1.5", "gamma_convention": "raw",
+}
+EXTREMES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "abc", "budget_floor")
+
+
+@pytest.fixture(scope="module")
+def scenario_paths(tmp_path_factory):
+    work = tmp_path_factory.mktemp("contract")
+    latin1 = work / "latin1.cfg"
+    latin1.write_bytes("# café\n".encode("latin-1") + (ROOT / "scenarios" / "fig1.cfg").read_bytes())
+    paths = {f"fig{i}": str(ROOT / "scenarios" / f"fig{i}.cfg") for i in range(1, 5)}
+    paths.update(missing=str(work / "missing.cfg"), directory=str(work), not_utf8=str(latin1))
+    return paths, str(work / "curve.csv")
+
+
+overrides = st.lists(
+    st.sampled_from(CONFIG_KEYS).flatmap(
+        lambda key: st.sampled_from((TYPICAL[key],) + EXTREMES).map(lambda value: f"{key}={value}")
+    ),
+    max_size=3,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(SUBCOMMAND_ARGS)),
+       path=st.sampled_from(("fig1", "fig2", "fig3", "fig4", "missing", "directory", "not_utf8")),
+       sets=overrides)
+def test_every_invocation_keeps_the_exit_code_contract(scenario_paths, command, path, sets):
+    # README's exit codes: 0 ok, 2 usage/config/file, 3 optimize, 4 sizing,
+    # 5 validate FAIL; 2-4 write an error: line and no stdout
+    paths, out_csv = scenario_paths
+    argv = [command, "--scenario", paths[path], *SUBCOMMAND_ARGS[command]]
+    argv += ["--out", out_csv] if command == "pmd-curve" else []
+    for item in sets:
+        argv += ["--set", item]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code in (2, 3, 4):
+        assert out == "", (argv, out)
+    if code not in (0, 5):
+        assert any(line.startswith("error: ") for line in err.splitlines()), (argv, err)
+    if code == 5:
+        assert "FAIL " in out, (argv, out)

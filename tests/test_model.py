@@ -13,7 +13,6 @@ from pmdkit import (
     MeanProfile,
     TransientExceedsWindowError,
     TransientModel,
-    UnsupportedFamilyError,
     budget_gap,
     parse_scenario,
     scenario_to_config,
@@ -78,7 +77,6 @@ def test_transient_values():
     assert TransientModel("exponential", A=1.5, a=15.0).value(1e-12) == pytest.approx(
         15.0, rel=1e-9
     )
-    assert TransientModel("budget_floor", A=1.5).value(0.4) == 3.0
 
 
 def test_transient_shapes():
@@ -95,12 +93,13 @@ def test_transient_domain_and_family_errors():
         model.value(0.0)
     with pytest.raises(DomainError):
         model.value(-1.0)
-    with pytest.raises(UnsupportedFamilyError):
-        TransientModel("budget_floor", A=1.5).derivative(0.5)
     with pytest.raises(ConfigError):
         TransientModel("exponential", A=1.5)  # missing a
     with pytest.raises(ConfigError):
         TransientModel("linear", A=1.5)
+    # whole slots come from reciprocal with transient_slots = floor(A / theta)
+    with pytest.raises(ConfigError, match="reciprocal"):
+        TransientModel("budget_floor", A=1.5)
 
 
 # --- detector --------------------------------------------------------------

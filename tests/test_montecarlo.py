@@ -157,7 +157,6 @@ def test_single_slot_hit_counts_are_frozen(fig1_scenario):
     [
         TransientModel("exponential", A=1.5, a=15.0),
         TransientModel("reciprocal", A=1.5),
-        TransientModel("budget_floor", A=1.5),
     ],
     ids=lambda transient: transient.family,
 )

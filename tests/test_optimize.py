@@ -66,12 +66,11 @@ def test_b_strictly_decreasing(transient, mean, m):
 
 
 def test_b_unsupported_family():
-    scenario = make_scenario("reciprocal")
-    floor_scenario = dataclasses.replace(
-        scenario, transient=TransientModel("budget_floor", A=1.5)
+    scenario = dataclasses.replace(
+        make_scenario("reciprocal", theta_min=0.2), transient=LinearTransient(A=1.5)
     )
-    with pytest.raises(UnsupportedFamilyError, match="budget_floor"):
-        b_function(floor_scenario, 0.5)
+    with pytest.raises(UnsupportedFamilyError, match="linear_toy"):
+        b_function(scenario, 0.5)
 
 
 # --- closed-form solver -------------------------------------------------------
@@ -366,6 +365,21 @@ def test_worst_case_dispatch_and_paper_threshold(fig1_scenario):
     assert point.Q >= np.max(pmd_curve(fig1_scenario, thetas).Q) - 1e-10
 
 
+@pytest.mark.parametrize("transient,mean", REFERENCE_CONFIGS)
+def test_whole_slot_pmd_never_exceeds_the_relaxed_worst_case(transient, mean):
+    # r = l (log q - log q0) + K log q0 grows with the number of transient
+    # slots l, because log q >= log q0 (mu(gamma(theta)) <= mu(0) = c). So
+    # the simulator's floor(L) whole slots give at most the relaxed Q at the
+    # same theta (floor(L) <= L), which is at most Q*. On fig3 and fig4 the
+    # two meet at theta_min, so the bound is tight; the slack allows rounding.
+    scenario = make_scenario(transient, mean)
+    q_star = worst_case_pmd(scenario).Q
+    for theta in np.linspace(scenario.theta_min, scenario.theta_max, 1001):
+        whole = pmd(scenario, theta, transient_slots=scenario.transient_slots(theta)).Q
+        assert whole <= pmd(scenario, theta).Q
+        assert whole <= q_star * (1.0 + 1e-12)
+
+
 def test_worst_case_decreases_with_sensor_count():
     previous = None
     for m in range(5, 55, 5):
@@ -373,16 +387,6 @@ def test_worst_case_decreases_with_sensor_count():
         if previous is not None:
             assert value < previous
         previous = value
-
-
-def test_worst_case_rejects_budget_floor():
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal"), transient=TransientModel("budget_floor", A=1.5)
-    )
-    with pytest.raises(UnsupportedFamilyError):
-        worst_case_pmd(scenario)
-    with pytest.raises(UnsupportedFamilyError):
-        find_critical_point(scenario)
 
 
 def test_solve_refuses_custom_family():
@@ -393,5 +397,5 @@ def test_solve_refuses_custom_family():
         transient=LinearTransient(A=1.5),
     )
     for call in (solve, worst_case_pmd, lambda s: min_sensors(s, 0.05, 100)):
-        with pytest.raises(UnsupportedFamilyError, match="budget_floor"):
+        with pytest.raises(UnsupportedFamilyError, match="linear_toy"):
             call(scenario)

@@ -6,6 +6,7 @@ error function and its inverse.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -63,6 +64,18 @@ def test_quantile_residual_contract():
     )
     residual = np.abs(stdnorm.cdf(stdnorm.quantile(ps)) - ps)
     assert residual.max() <= 1e-12
+
+
+def test_quantile_within_four_ulps_of_the_exact_root():
+    # the exact root lies between x - 4 ulp and x + 4 ulp exactly when the
+    # 60-digit cdf brackets p there (cdf is increasing)
+    ps = np.concatenate((np.geomspace(1e-300, 0.5, 1250), 1.0 - np.geomspace(1e-16, 0.5, 1250)))
+    xs = stdnorm.quantile(ps)
+    with mpmath.workdps(60):
+        for p, x in zip(ps, xs):
+            step = mpmath.mpf(4.0 * np.spacing(abs(x)))
+            lo, hi = mpmath.ncdf(mpmath.mpf(x) - step), mpmath.ncdf(mpmath.mpf(x) + step)
+            assert lo <= mpmath.mpf(p) <= hi, (p, x)
 
 
 def test_quantile_monotone():
