@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmdkit
@@ -413,8 +413,7 @@ overrides = st.lists(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(command=st.sampled_from(sorted(SUBCOMMAND_ARGS)),
        path=st.sampled_from(("fig1", "fig2", "fig3", "fig4", "missing", "directory", "not_utf8")),
        sets=overrides)
