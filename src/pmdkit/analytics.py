@@ -102,13 +102,15 @@ def _kernel(scenario: AttackScenario, theta, m=None) -> _Slot:
     return _Slot(log_q=log_q, log_q0=log_q0, dlog_q=lam * du)
 
 
-def _log_pmd(scenario: AttackScenario, theta, length=None, m=None):
-    """(L, kernel output, r) at theta, unchecked; L defaults to L(theta)
-    and m, the sensor count lanes, to the detector's M. A non-finite r
-    (log q = log q0 = -inf, from an overflowing shift) raises NumericalError."""
+def _log_pmd(scenario: AttackScenario, theta, length=None, m=None, slot=None):
+    """(L, kernel output, r) at theta, unchecked; L defaults to L(theta),
+    m, the sensor count lanes, to the detector's M, and the kernel output
+    to a kernel call at theta. A non-finite r (log q = log q0 = -inf, from
+    an overflowing shift) raises NumericalError."""
     if length is None:
         length = scenario.transient_length(theta)
-    slot = _kernel(scenario, theta, m)
+    if slot is None:
+        slot = _kernel(scenario, theta, m)
     with np.errstate(invalid="ignore"):  # -inf - -inf is the nan refused below
         r = length * (slot.log_q - slot.log_q0) + scenario.detector.K * slot.log_q0
     if not np.isfinite(r).all():
@@ -122,12 +124,15 @@ def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = No
     return PmdPoint(theta=theta, L=float(length), Q=math.exp(r), r=float(r))
 
 
+def _slope_of(d1, length, slot: _Slot) -> float:
+    """dr/dtheta from L' (d1), L and the kernel output at one theta."""
+    return float(d1 * (slot.log_q - slot.log_q0) + length * slot.dlog_q)
+
+
 def _log_pmd_slope(scenario: AttackScenario, theta: float) -> float:
     """dr/dtheta from one kernel call, unchecked."""
     length = scenario.transient_length(theta)
-    d1 = scenario.transient.derivative(theta)
-    slot = _kernel(scenario, theta)
-    return float(d1 * (slot.log_q - slot.log_q0) + length * slot.dlog_q)
+    return _slope_of(scenario.transient.derivative(theta), length, _kernel(scenario, theta))
 
 
 def _check_theta(theta, lo: float, hi: float, strict: bool = False) -> float:

@@ -94,6 +94,9 @@ def _cmd_pmd_curve(args) -> int:
         raise ConfigError(f"--steps must be >= 2, got {args.steps}")
     if not args.theta_min < args.theta_max:
         raise ConfigError("--theta-min must be < --theta-max")
+    # before the grid is built, so an infinite end cannot turn it into nan
+    for theta in (args.theta_min, args.theta_max):
+        analytics._check_theta(theta, scenario.theta_min, scenario.theta_max)
     try:
         m_list = [int(part) for part in args.m_list.split(",") if part.strip()]
     except ValueError as exc:
@@ -291,6 +294,15 @@ def _cmd_validate(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors (a bad or missing flag, a value that does
+    not parse) end, like every other usage error, in one error: line and
+    exit code 2, returned by main rather than raised as SystemExit."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, help="scenario config file")
     parser.add_argument(
@@ -303,7 +315,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmdkit",
         description="Missed-detection analysis of a multi-sensor Shewhart "
         "detector under transient resource-constrained attacks. "
@@ -347,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PmdkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

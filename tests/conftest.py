@@ -79,3 +79,10 @@ def bench_pools_1_3():
     of them (item.deep_tail) in the deep tail."""
     gen = _gen()
     return tuple(item for seed in (1, 2, 3) for item in gen.generate(seed, 64))
+
+
+@pytest.fixture(scope="session")
+def bench_pools_1_40():
+    """bench/gen.py pools of 128 for seeds 1-40: 5,120 scenarios."""
+    gen = _gen()
+    return tuple(item.scenario for seed in range(1, 41) for item in gen.generate(seed, 128))

@@ -79,6 +79,8 @@ def test_pmd_curve_is_byte_identical_across_runs(tmp_path, capsys, fig1_path):
     [
         ["--theta-min", "0.5", "--theta-max", "0.1", "--steps", "10"],
         ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "1"],
+        # an infinite end would make the grid nan before any domain check
+        ["--theta-min", "0.1", "--theta-max", "inf", "--steps", "10"],
         ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "10", "--M-list", "5,x"],
         # log q = log q0 = -inf: Q would print as nan
         ["--theta-min", "0.1", "--theta-max", "1.5", "--steps", "10", "--set", "mu.c=1e308"],
@@ -342,6 +344,18 @@ def test_unknown_override_key_rejected(capsys, fig1_path):
     assert "unknown key" in err
 
 
+def test_flag_errors_are_one_error_line(capsys, fig1_path):
+    # argparse's own refusals keep the contract: exit 2, one error: line
+    for argv in (
+        ["min-sensors", "--scenario", fig1_path, "--delta", "abc", "--m-max", "5"],
+        ["simulate", "--scenario", fig1_path, "--theta", "0.7", "--runs", "1.5", "--seed", "1"],
+        ["optimize"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: pmdkit") and err.count("\n") == 1
+
+
 def test_missing_scenario_file(capsys, tmp_path, fig1_path):
     # a missing, a directory or a non-UTF-8 scenario, and an --out that is
     # a directory: each is a one-line usage error that names the path
@@ -380,11 +394,21 @@ def test_module_entry_point(fig1_path):
 # --- exit-code contract -----------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
-SUBCOMMAND_ARGS = {
-    "pmd-curve": ["--theta-min", "0.2", "--theta-max", "1.0", "--steps", "5", "--M-list", "5,25"],
-    "optimize": [],
-    "min-sensors": ["--delta", "0.05", "--m-max", "100"],
-    "simulate": ["--theta", "0.7", "--runs", "200", "--seed", "1"],
+NUMBER_EXTREMES = ("0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", "abc")
+COUNT_EXTREMES = ("0", "-1", "1.5", "abc")
+# each subcommand's own flags, drawn from typical values (first) and extreme
+# ones; --steps and --m-max stay cheap, --runs and --shards stay fixed
+SUBCOMMAND_FLAGS = {
+    "pmd-curve": {"--theta-min": ("0.2",) + NUMBER_EXTREMES, "--theta-max": ("1.0",) + NUMBER_EXTREMES,
+                  "--steps": ("5", "2") + COUNT_EXTREMES},
+    "optimize": {},
+    "min-sensors": {"--delta": ("0.05", "1e-6") + NUMBER_EXTREMES, "--m-max": ("100", "1") + COUNT_EXTREMES},
+    "simulate": {"--theta": ("0.7",) + NUMBER_EXTREMES},
+    "validate": {},
+}
+FIXED_ARGS = {
+    "pmd-curve": ["--M-list", "5,25"],
+    "simulate": ["--runs", "200", "--seed", "1"],
     "validate": ["--runs", "200"],
 }
 TYPICAL = {
@@ -413,15 +437,25 @@ overrides = st.lists(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(command=st.sampled_from(sorted(SUBCOMMAND_ARGS)),
+invocations = st.sampled_from(sorted(SUBCOMMAND_FLAGS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.fixed_dictionaries(
+        {flag: st.sampled_from(values) for flag, values in SUBCOMMAND_FLAGS[command].items()}
+    ))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(invocation=invocations,
        path=st.sampled_from(("fig1", "fig2", "fig3", "fig4", "missing", "directory", "not_utf8")),
        sets=overrides)
-def test_every_invocation_keeps_the_exit_code_contract(scenario_paths, command, path, sets):
+def test_every_invocation_keeps_the_exit_code_contract(scenario_paths, invocation, path, sets):
     # README's exit codes: 0 ok, 2 usage/config/file, 3 optimize, 4 sizing,
     # 5 validate FAIL; 2-4 write an error: line and no stdout
     paths, out_csv = scenario_paths
-    argv = [command, "--scenario", paths[path], *SUBCOMMAND_ARGS[command]]
+    command, flags = invocation
+    argv = [command, "--scenario", paths[path], *FIXED_ARGS.get(command, [])]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value}")  # "=" keeps a value such as -1 from reading as a flag
     argv += ["--out", out_csv] if command == "pmd-curve" else []
     for item in sets:
         argv += ["--set", item]
