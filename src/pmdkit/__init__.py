@@ -25,11 +25,9 @@ from .errors import (
     DomainError,
     InfeasibleAtCapError,
     MonotonicityError,
-    NonUnimodalError,
     NumericalError,
     PmdkitError,
     TransientExceedsWindowError,
-    UnsupportedFamilyError,
 )
 from .model import (
     AttackScenario,
@@ -57,7 +55,7 @@ from .optimize import (
 from .sizing import SizingResult, min_sensors, scenario_with_sensors
 from . import stdnorm
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AttackScenario",
@@ -68,7 +66,6 @@ __all__ = [
     "InfeasibleAtCapError",
     "MeanProfile",
     "MonotonicityError",
-    "NonUnimodalError",
     "NumericalError",
     "PmdCurve",
     "PmdPoint",
@@ -79,7 +76,6 @@ __all__ = [
     "SlotMiss",
     "TransientExceedsWindowError",
     "TransientModel",
-    "UnsupportedFamilyError",
     "allocation_miss",
     "b_function",
     "budget_gap",

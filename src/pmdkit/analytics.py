@@ -34,7 +34,7 @@ from scipy import special
 
 from . import stdnorm
 from .errors import DomainError, NumericalError, TransientExceedsWindowError
-from .model import AttackScenario
+from .model import AttackScenario, _require_whole
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,9 @@ def _log_pmd(scenario: AttackScenario, theta, length=None, m=None, slot=None):
     return length, slot, r
 
 
-def _pmd_point(scenario: AttackScenario, theta: float, length: float | None = None) -> PmdPoint:
-    """pmd without argument checks, for callers that produced theta."""
-    length, _, r = _log_pmd(scenario, theta, length)
-    return PmdPoint(theta=theta, L=float(length), Q=math.exp(r), r=float(r))
-
-
 def _slope_of(d1, length, slot: _Slot) -> float:
     """dr/dtheta from L' (d1), L and the kernel output at one theta."""
     return float(d1 * (slot.log_q - slot.log_q0) + length * slot.dlog_q)
-
-
-def _log_pmd_slope(scenario: AttackScenario, theta: float) -> float:
-    """dr/dtheta from one kernel call, unchecked."""
-    length = scenario.transient_length(theta)
-    return _slope_of(scenario.transient.derivative(theta), length, _kernel(scenario, theta))
 
 
 def _check_theta(theta, lo: float, hi: float, strict: bool = False) -> float:
@@ -176,15 +164,15 @@ def pmd(scenario: AttackScenario, theta: float, transient_slots: int | None = No
     """
     theta = _check_theta(theta, scenario.theta_min, scenario.theta_max)
     if transient_slots is not None:
-        if int(transient_slots) != transient_slots or transient_slots < 0:
-            raise DomainError("transient_slots must be a nonnegative integer")
+        transient_slots = _require_whole(transient_slots, "transient_slots", lo=0)
         if transient_slots > scenario.detector.K:
             raise TransientExceedsWindowError(
                 f"transient_slots = {transient_slots} exceeds the window K = "
                 f"{scenario.detector.K}"
             )
         transient_slots = float(transient_slots)
-    return _pmd_point(scenario, theta, transient_slots)
+    length, _, r = _log_pmd(scenario, theta, transient_slots)
+    return PmdPoint(theta=theta, L=float(length), Q=math.exp(r), r=float(r))
 
 
 def pmd_curve(scenario: AttackScenario, thetas) -> PmdCurve:
@@ -202,7 +190,8 @@ def pmd_curve(scenario: AttackScenario, thetas) -> PmdCurve:
 def log_pmd_derivative(scenario: AttackScenario, theta: float) -> float:
     """dr/dtheta at an interior theta; zero exactly at the worst case."""
     theta = _check_theta(theta, scenario.theta_min, scenario.theta_max, strict=True)
-    return _log_pmd_slope(scenario, theta)
+    length = scenario.transient_length(theta)
+    return _slope_of(scenario.transient.derivative(theta), length, _kernel(scenario, theta))
 
 
 def allocation_miss(scenario: AttackScenario, allocations) -> float | np.ndarray:

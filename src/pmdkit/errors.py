@@ -17,14 +17,6 @@ class TransientExceedsWindowError(PmdkitError, ValueError):
     """The attack transient is longer than the detection window K."""
 
 
-class UnsupportedFamilyError(PmdkitError, ValueError):
-    """The requested operation is not defined for this model family."""
-
-
-class NonUnimodalError(PmdkitError, RuntimeError):
-    """A grid screen contradicted the caller's unimodality declaration."""
-
-
 class MonotonicityError(PmdkitError, RuntimeError):
     """A quantity assumed monotone was observed not to be."""
 

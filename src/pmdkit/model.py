@@ -32,6 +32,18 @@ def _require_positive(value: float, name: str) -> float:
     return value
 
 
+def _require_whole(value, name: str, lo: int | None = 1) -> int:
+    """value as an int, refused unless it is a whole number >= lo (of any
+    sign when lo is None); nan, +-inf and non-numbers are refused too."""
+    try:
+        if int(value) == value and (lo is None or value >= lo):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}[lo]
+    raise DomainError(f"{name} must be {kind}, got {value!r}")
+
+
 class _Profile:
     """value and derivative of a model family: checked views over the
     subclass's unchecked _profile(x) = (f, f')."""
@@ -153,12 +165,8 @@ class DetectorConfig:
         alpha = float(self.alpha)
         if not math.isfinite(alpha) or not 0.0 < alpha < 1.0:
             raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-        if int(self.M) != self.M or self.M < 1:
-            raise DomainError(f"M must be a positive integer, got {self.M!r}")
-        if int(self.K) != self.K or self.K < 1:
-            raise DomainError(f"K must be a positive integer, got {self.K!r}")
-        object.__setattr__(self, "M", int(self.M))
-        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "M", _require_whole(self.M, "M"))
+        object.__setattr__(self, "K", _require_whole(self.K, "K"))
         object.__setattr__(self, "x_star", -float(stdnorm.quantile(alpha)))
         if self.h_override is None:
             object.__setattr__(self, "h", math.sqrt(self.M) * self.x_star)
@@ -186,6 +194,11 @@ class AttackScenario:
     gamma_convention: str = "per_sensor"
 
     def __post_init__(self):
+        parts = (("mean", MeanProfile), ("transient", TransientModel), ("detector", DetectorConfig))
+        for name, kind in parts:
+            part = getattr(self, name)
+            if not isinstance(part, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {type(part).__name__}")
         if self.gamma_convention not in GAMMA_CONVENTIONS:
             raise ConfigError(
                 f"unknown gamma_convention {self.gamma_convention!r}; "

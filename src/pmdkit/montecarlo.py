@@ -43,7 +43,7 @@ import numpy as np
 
 from .analytics import _check_theta
 from .errors import DomainError, NumericalError
-from .model import AttackScenario
+from .model import AttackScenario, _require_whole
 
 PMD_BLOCK_RUNS = 4096        # runs per block when a run spans K slots
 SLOT_BLOCK_RUNS = 65536      # runs per block for single-slot experiments
@@ -63,14 +63,10 @@ class SimConfig:
     shards: int = 1
 
     def __post_init__(self):
-        if int(self.runs) != self.runs or self.runs < 1:
-            raise DomainError(f"runs must be a positive integer, got {self.runs!r}")
-        if int(self.shards) != self.shards or self.shards < 1:
-            raise DomainError(f"shards must be a positive integer, got {self.shards!r}")
+        object.__setattr__(self, "runs", _require_whole(self.runs, "runs"))
+        object.__setattr__(self, "shards", _require_whole(self.shards, "shards"))
+        object.__setattr__(self, "seed", _require_whole(self.seed, "seed", lo=None) & _MASK64)
         _check_theta(self.theta, 0.0, self.scenario.theta_max)
-        object.__setattr__(self, "runs", int(self.runs))
-        object.__setattr__(self, "shards", int(self.shards))
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
 @dataclass(frozen=True)

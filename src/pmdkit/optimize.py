@@ -7,13 +7,18 @@ strictly decreasing function b(theta) whose sign matches dr/dtheta:
     reciprocal  (L = A/theta):     b = -(log q - log q0) + theta * d log q/dtheta
     exponential (L = a e^-theta):  b = -(log q - log q0) +         d log q/dtheta
 
-so the critical point is the unique root of b. find_critical_point
-finds it with a seeded multi-point bracket search. One seed kernel call
-evaluates b at SEED_POINTS even points of the domain, edges included;
-the edge values decide whether the maximizer sits on a boundary, and
-otherwise the first grid cell where b changes sign is the bracket. Each
-step then evaluates b, in one kernel call, at ten points of the bracket
-[lo, hi], each clipped to it:
+as dr/dtheta = (A/theta^2) b and L b. Proof that b decreases: mu is
+convex and strictly decreasing, so u = x_star - sqrt(M) mu(gamma(theta))
+is concave and strictly increasing; log_cdf is strictly concave and
+increasing, so (log q)'' < 0 < (log q)', and b' = theta (log q)'' or
+(log q)'' - (log q)' is < 0. So r rises to the unique root of b and
+falls after it, and find_critical_point finds it with a seeded
+multi-point bracket search. One seed kernel call evaluates b at
+SEED_POINTS even points of the domain, edges included; the edge values
+decide whether the maximizer sits on a boundary, and otherwise the first
+grid cell where b changes sign is the bracket. Each step then evaluates
+b, in one kernel call, at ten points of the bracket [lo, hi], each
+clipped to it:
 
     x            lo + (hi - lo) * b(lo) / (b(lo) - b(hi))   (regula falsi)
     x -+ ITP_EPS * 1000^j, j = 0..3
@@ -56,8 +61,7 @@ at the theta_min boundary: the adversary stretches the transient across
 as much of the window as the budget allows. Interior critical points
 occur for the exponential family, where b(0) > 0.
 
-maximize_unimodal checks the root search from values of r alone; solve,
-worst_case_pmd and sizing refuse any other (duck-typed) transient family.
+maximize_unimodal checks the root search from values of r alone.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ import numpy as np
 from .analytics import (
     PmdPoint, _check_theta, _kernel, _log_pmd, _slope_of, _Slot,
 )
-from .errors import NonUnimodalError, NumericalError, UnsupportedFamilyError
-from .model import TRANSIENT_FAMILIES, AttackScenario
+from .errors import NumericalError
+from .model import AttackScenario
 
 ITP_EPS = 1e-12             # root search: half-width of the bracket target
 SEED_POINTS = 16            # b values per lane in the root search's seed call
@@ -82,7 +86,7 @@ _SEED_FRACTIONS = np.arange(SEED_POINTS) / (SEED_POINTS - 1)
 _RUNGS = ITP_EPS * 1e3 ** np.arange(4)
 _STEP_OFFSETS = np.concatenate((-_RUNGS[::-1], [0.0], _RUNGS))[:, None]
 B_RESIDUAL = 1e-15          # |b| at which an evaluated point is taken as the root
-_SCREEN_POINTS = 256
+_ZOOM_POINTS = 256          # r values per grid-zoom round
 # r within this many ulps of its largest sampled value counts as the peak
 _FLAT_ULPS = 32
 # the method labels that optimize-v1 prints for an interior root and for
@@ -102,11 +106,10 @@ B_NOISE_FLOOR = 1e-13
 class CriticalPoint:
     """Solver output: the worst-case theta and solution diagnostics.
 
-    b_residual is |b(theta_star)|, nan for a duck-typed transient;
-    fixed_point_residual checks the family's rearranged stationarity
-    identity (theta = q log(q/q0) / q' for the reciprocal family, q =
-    q'/log(q/q0) for the exponential one), or is |dr/dtheta| for a
-    grid-zoom result, and is nan on a boundary. method is "itp" for an
+    b_residual is |b(theta_star)|; fixed_point_residual checks the
+    family's rearranged stationarity identity (theta = q log(q/q0) / q'
+    for the reciprocal family, q = q'/log(q/q0) for the exponential one),
+    or is |dr/dtheta| for a grid-zoom result, and is nan on a boundary. method is "itp" for an
     interior root and "bisect-newton" for a closed-form boundary, both
     labels frozen by the optimize-v1 output schema, and "grid-zoom" for
     maximize_unimodal. iterations counts the root search's steps after
@@ -146,19 +149,9 @@ def _b_of(family: str, theta, slot) -> float | np.ndarray:
     return (slot.log_q0 - slot.log_q) + slot.dlog_q
 
 
-def _family(scenario: AttackScenario) -> str:
-    """The transient family, refused unless b has a closed form for it."""
-    family = scenario.transient.family
-    if family not in TRANSIENT_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"no solver for transient family {family!r}; expected one of {TRANSIENT_FAMILIES}"
-        )
-    return family
-
-
 def _b(scenario: AttackScenario, theta, m=None) -> float | np.ndarray:
     """b at theta, per sensor-count lane of m; unchecked in theta."""
-    return _b_of(_family(scenario), theta, _kernel(scenario, theta, m))
+    return _b_of(scenario.transient.family, theta, _kernel(scenario, theta, m))
 
 
 def b_function(scenario: AttackScenario, theta: float) -> float:
@@ -248,17 +241,16 @@ def _bracket_search(scenario: AttackScenario, m: np.ndarray, grid: np.ndarray, s
 
 
 def _critical_lanes(scenario: AttackScenario, m) -> _Lanes:
-    """Worst case of a closed-form family for each sensor count in m.
+    """Worst case for each sensor count in m.
 
     One kernel call evaluates b at SEED_POINTS even points of the domain
     per lane, edges included. Each lane settles on a boundary from its
     edge values or joins the bracket search from its seed cell. r at
     every lane's theta_star comes from the seed call's edge values when
     every lane is a boundary, and otherwise from one more kernel call. A
-    non-finite b on any lane raises NumericalError; a family without b
-    is refused with UnsupportedFamilyError before any kernel call.
+    non-finite b on any lane raises NumericalError.
     """
-    family = _family(scenario)
+    family = scenario.transient.family
     m = np.asarray(m, dtype=float).reshape(-1)
     tmin, tmax = scenario.theta_min, scenario.theta_max
     grid = (tmin + (tmax - tmin) * _SEED_FRACTIONS)[:, None]
@@ -297,14 +289,13 @@ def _critical_lanes(scenario: AttackScenario, m) -> _Lanes:
 
 
 def find_critical_point(scenario: AttackScenario) -> CriticalPoint:
-    """Locate the unique critical point of r for a closed-form family.
+    """Locate the unique critical point of r.
 
     The bracket search finds the root of b: the regula-falsi point of
     the final bracket, or an evaluated point where |b| <= B_RESIDUAL. If
     b does not change sign over [theta_min, theta_max], r is monotone
     and the matching boundary theta is returned with boundary=True. This
-    is the one-lane case of the batched solve. Any other transient family
-    raises UnsupportedFamilyError.
+    is the one-lane case of the batched solve.
     """
     lanes = _critical_lanes(scenario, [scenario.detector.M])
     family = scenario.transient.family
@@ -322,46 +313,30 @@ def find_critical_point(scenario: AttackScenario) -> CriticalPoint:
     )
 
 
-def _assert_unimodal(r: np.ndarray) -> None:
-    """Screen a sampled r profile for a single peak."""
-    peak = int(np.argmax(r))
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(r))))
-    diffs = np.diff(r)
-    rising_ok = np.all(diffs[:peak] >= -tol)
-    falling_ok = np.all(diffs[peak:] <= tol)
-    if not (rising_ok and falling_ok):
-        bad = int(np.argmin(diffs[:peak])) if not rising_ok else peak + int(np.argmax(diffs[peak:]))
-        raise NonUnimodalError(
-            f"sampled profile is not unimodal near grid index {bad}; "
-            "the declared concavity does not hold for this scenario"
-        )
-
-
 def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
     """Maximize r from its values alone, zooming a grid in on the peak.
 
-    Each round evaluates r at 256 points of the bracket in one kernel call,
-    screens them for a single peak, and keeps the points within _FLAT_ULPS
-    ulps of the top, plus one grid step each side. The first round that
-    does not shrink the bracket fourfold (r is flat to rounding there) ends
-    the search at the centre of the near-maximal points, or at a domain
-    edge within the bracket's width, with the bracket widened to it.
-    Any transient with a value method will do. Over the bench/gen.py pools
-    of seeds 1-200 the bracket holds solve's theta_star on all 8,935 interior
+    r has a single peak (module docstring). Each round evaluates r at
+    _ZOOM_POINTS points of the bracket in one kernel call and keeps the
+    points within _FLAT_ULPS ulps of the top, plus one grid step each
+    side. The first round that does not shrink the bracket fourfold (r is
+    flat to rounding there) ends the search at the centre of the
+    near-maximal points, or at a domain edge within the bracket's width,
+    with the bracket widened to it. Over the bench/gen.py pools of seeds
+    1-200 the bracket holds solve's theta_star on all 8,935 interior
     solves, within 1.4e-8 of the domain width, in at most 8 rounds.
     """
     tmin, tmax = scenario.theta_min, scenario.theta_max
     lo, hi, rounds = tmin, tmax, 0
     while True:
-        grid = np.linspace(lo, hi, _SCREEN_POINTS)
+        grid = np.linspace(lo, hi, _ZOOM_POINTS)
         _, _, r = _log_pmd(scenario, grid)
-        _assert_unimodal(r)
         rounds += 1
         top = np.max(r)
         near = np.flatnonzero(r >= top - _FLAT_ULPS * np.spacing(abs(top)))
         width = hi - lo
         lo = float(grid[max(near[0] - 1, 0)])
-        hi = float(grid[min(near[-1] + 1, _SCREEN_POINTS - 1)])
+        hi = float(grid[min(near[-1] + 1, _ZOOM_POINTS - 1)])
         if 4.0 * (hi - lo) > width:
             break
 
@@ -375,15 +350,11 @@ def maximize_unimodal(scenario: AttackScenario) -> CriticalPoint:
 
     # L, the kernel output and r at theta, shared by the slope, Q and b
     length, slot, r = _log_pmd(scenario, theta)
-    fp_res = math.nan
-    if not at_edge and hasattr(scenario.transient, "derivative"):
-        fp_res = abs(_slope_of(scenario.transient.derivative(theta), length, slot))
-    family = scenario.transient.family
-    b_res = float(abs(_b_of(family, theta, slot))) if family in TRANSIENT_FAMILIES else math.nan
+    fp_res = math.nan if at_edge else abs(_slope_of(scenario.transient.derivative(theta), length, slot))
     return CriticalPoint(
         theta_star=theta,
         Q_star=math.exp(r),
-        b_residual=b_res,
+        b_residual=float(abs(_b_of(scenario.transient.family, theta, slot))),
         fixed_point_residual=fp_res,
         iterations=rounds,
         bracket=(lo, hi),

@@ -44,7 +44,7 @@ import numpy as np
 from . import stdnorm
 from .analytics import _kernel
 from .errors import DomainError, InfeasibleAtCapError, MonotonicityError
-from .model import AttackScenario
+from .model import AttackScenario, _require_whole
 from .optimize import _critical_lanes
 
 LANE_CHUNK = 64  # sensor counts per batched solve or bound probe
@@ -128,9 +128,7 @@ def min_sensors(scenario_template: AttackScenario, delta: float, m_max: int) -> 
     delta = float(delta)
     if not math.isfinite(delta) or not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie strictly between 0 and 1, got {delta!r}")
-    if int(m_max) != m_max or m_max < 1:
-        raise DomainError(f"m_max must be a positive integer, got {m_max!r}")
-    m_max = int(m_max)
+    m_max = _require_whole(m_max, "m_max")
 
     evaluated: dict[int, float] = {}
 

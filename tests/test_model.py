@@ -1,20 +1,27 @@
 """Model-layer contracts: profiles, transients, detector, scenario, config format."""
 
+import dataclasses
 import math
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from pmdkit import (
+    AttackScenario,
     ConfigError,
     DetectorConfig,
     DomainError,
     MeanProfile,
+    SimConfig,
     TransientExceedsWindowError,
     TransientModel,
     budget_gap,
+    min_sensors,
     parse_scenario,
+    pmd,
     scenario_to_config,
 )
 from pmdkit.model import parse_config_text
@@ -105,6 +112,39 @@ def test_transient_domain_and_family_errors():
 # --- detector --------------------------------------------------------------
 
 
+def _whole_number_calls(value):
+    scenario = make_scenario()
+    return {
+        "M": lambda: DetectorConfig(alpha=0.1, M=value, K=15),
+        "K": lambda: DetectorConfig(alpha=0.1, M=25, K=value),
+        "runs": lambda: SimConfig(scenario=scenario, theta=0.7, runs=value, seed=1),
+        "shards": lambda: SimConfig(scenario=scenario, theta=0.7, runs=10, seed=1, shards=value),
+        "seed": lambda: SimConfig(scenario=scenario, theta=0.7, runs=10, seed=value),
+        "m_max": lambda: min_sensors(scenario, 0.05, value),
+        "transient_slots": lambda: pmd(scenario, 0.5, transient_slots=value),
+    }
+
+
+# the counts refuse their first bad whole number; the seed takes any sign
+_BELOW = {"M": 0, "K": 0, "runs": 0, "shards": 0, "m_max": 0, "transient_slots": -1}
+
+
+@pytest.mark.parametrize("name,value", [
+    *((name, value) for name in (*_BELOW, "seed") for value in (math.nan, math.inf, -math.inf, 2.5)),
+    *_BELOW.items(),
+])
+def test_whole_number_arguments_refuse_non_whole_values(name, value):
+    with pytest.raises(DomainError, match=f"{name} must be a"):
+        _whole_number_calls(value)[name]()
+
+
+def test_whole_number_arguments_accept_whole_floats_and_any_seed():
+    assert DetectorConfig(alpha=0.1, M=25.0, K=15.0).M == 25
+    scenario = make_scenario()
+    assert SimConfig(scenario=scenario, theta=0.7, runs=10, seed=-1).seed == (1 << 64) - 1
+    assert pmd(scenario, 0.5, transient_slots=3.0) == pmd(scenario, 0.5, transient_slots=3)
+
+
 def test_detector_derived_threshold():
     det = DetectorConfig(alpha=0.1, M=25, K=15)
     assert det.x_star == pytest.approx(1.2815515655446004, abs=1e-9)
@@ -157,6 +197,53 @@ def test_scenario_admissibility_checks():
         make_scenario(convention="sideways")
     with pytest.raises(DomainError):
         make_scenario(theta_min=0.9, theta_max=0.2)
+
+
+@dataclass(frozen=True)
+class DuckTransient:
+    """A transient with TransientModel's fields and methods, not its type."""
+
+    A: float
+    family: str = "linear_toy"
+    a: float | None = None
+
+    def value(self, theta):
+        return 2.0 * self.A - np.asarray(theta, dtype=float)
+
+    def derivative(self, theta):
+        return np.full_like(np.asarray(theta, dtype=float), -1.0)
+
+
+@dataclass(frozen=True)
+class DuckMean:
+    """A mean profile with MeanProfile's fields and methods, not its type."""
+
+    family: str = "rational"
+    c: float = 0.1
+    k: float = 10.0
+
+    def value(self, z):
+        return self.c / (1.0 + self.k * np.asarray(z, dtype=float))
+
+    def derivative(self, z):
+        return -self.c * self.k / (1.0 + self.k * np.asarray(z, dtype=float)) ** 2
+
+
+@pytest.mark.parametrize("field,part,kind", [
+    ("transient", DuckTransient(A=1.5), "DuckTransient"),
+    ("mean", DuckMean(), "DuckMean"),
+    ("detector", SimpleNamespace(alpha=0.1, M=25, K=15, x_star=1.28, h=6.4), "SimpleNamespace"),
+])
+def test_scenario_refuses_model_parts_of_another_type(field, part, kind):
+    # the closed forms and the solver exist for MeanProfile, TransientModel
+    # and DetectorConfig alone, so anything else is refused where the
+    # scenario is built
+    base = make_scenario("reciprocal", theta_min=0.2)
+    with pytest.raises(ConfigError, match=f"{field} must be a .*, got {kind}"):
+        dataclasses.replace(base, **{field: part})
+    parts = {"mean": base.mean, "transient": base.transient, "detector": base.detector, field: part}
+    with pytest.raises(ConfigError, match=kind):
+        AttackScenario(**parts, theta_min=0.2, theta_max=1.5)
 
 
 def test_gamma_conventions():

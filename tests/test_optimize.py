@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import math
 import statistics
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -14,10 +13,8 @@ from pmdkit import (
     AttackScenario,
     DetectorConfig,
     MeanProfile,
-    NonUnimodalError,
     NumericalError,
     TransientModel,
-    UnsupportedFamilyError,
     b_function,
     find_critical_point,
     log_pmd_derivative,
@@ -63,14 +60,6 @@ def test_b_strictly_decreasing(transient, mean, m):
     thetas = np.linspace(0.1, 1.5, 1000)
     values = np.array([b_function(scenario, t) for t in thetas])
     assert np.all(np.diff(values) < 0)
-
-
-def test_b_unsupported_family():
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal", theta_min=0.2), transient=LinearTransient(A=1.5)
-    )
-    with pytest.raises(UnsupportedFamilyError, match="linear_toy"):
-        b_function(scenario, 0.5)
 
 
 # --- closed-form solver -------------------------------------------------------
@@ -217,15 +206,15 @@ def test_closed_form_solver_takes_no_newton_steps(fig1_scenario):
 # --- grid-zoom reference -------------------------------------------------------
 
 
-def test_golden_section_agrees_with_closed_form(fig1_scenario):
-    golden = maximize_unimodal(fig1_scenario)
+def test_grid_zoom_agrees_with_closed_form(fig1_scenario):
+    zoom = maximize_unimodal(fig1_scenario)
     closed = find_critical_point(fig1_scenario)
-    assert golden.theta_star == pytest.approx(closed.theta_star, abs=1e-8)
-    assert golden.method == "grid-zoom"
-    assert golden.fixed_point_residual <= 1e-8
+    assert zoom.theta_star == pytest.approx(closed.theta_star, abs=1e-8)
+    assert zoom.method == "grid-zoom"
+    assert zoom.fixed_point_residual <= 1e-8
 
 
-def test_golden_section_returns_boundary_for_decreasing_profile(fig3_scenario):
+def test_grid_zoom_returns_boundary_for_decreasing_profile(fig3_scenario):
     result = maximize_unimodal(fig3_scenario)
     assert result.boundary
     assert result.theta_star == fig3_scenario.theta_min
@@ -244,54 +233,6 @@ def test_reference_brackets_itp_on_generated_pool(bench_pool):
         else:
             assert reference.bracket[0] <= solved.theta_star <= reference.bracket[1]
             assert abs(reference.theta_star - solved.theta_star) <= 1e-7 * width
-
-
-@dataclass(frozen=True)
-class LinearTransient:
-    """Toy concave transient: L = 2A - theta."""
-
-    A: float
-    family: str = "linear_toy"
-    a: float | None = None
-
-    def value(self, theta):
-        return 2.0 * self.A - np.asarray(theta, dtype=float)
-
-    def derivative(self, theta):
-        return np.full_like(np.asarray(theta, dtype=float), -1.0)
-
-
-@dataclass(frozen=True)
-class WavyTransient:
-    """Pathological transient that makes r multi-peaked."""
-
-    A: float
-    family: str = "wavy_toy"
-    a: float | None = None
-
-    def value(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return 8.0 + 6.0 * np.sin(9.0 * t)
-
-
-def test_golden_section_on_concave_toy_matches_grid():
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal", theta_min=0.2, theta_max=1.5),
-        transient=LinearTransient(A=1.5),
-    )
-    result = maximize_unimodal(scenario)
-    theta_grid, _, step = grid_argmax(scenario)
-    assert abs(result.theta_star - theta_grid) <= step
-    assert math.isnan(result.b_residual)  # no closed-form b for this family
-
-
-def test_golden_section_detects_non_unimodal_profile():
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal", theta_min=0.2, theta_max=1.5),
-        transient=WavyTransient(A=1.5),
-    )
-    with pytest.raises(NonUnimodalError):
-        maximize_unimodal(scenario)
 
 
 def deep_tail_scenario(c=10.0):
@@ -345,12 +286,12 @@ def test_deep_tail_scenarios_stay_finite(transient, mean, shift):
     scenario = dataclasses.replace(base, mean=MeanProfile(mean, c=shift / 5.0, k=10.0))
     grid = np.linspace(scenario.theta_min, scenario.theta_max, 200)
     assert np.all(np.isfinite(pmd_curve(scenario, grid).r))
-    solved, golden = solve(scenario), maximize_unimodal(scenario)
-    for result in (solved, golden):
+    solved, zoom = solve(scenario), maximize_unimodal(scenario)
+    for result in (solved, zoom):
         assert math.isfinite(pmd(scenario, result.theta_star).r)
     if not solved.boundary:
         width = scenario.theta_max - scenario.theta_min
-        assert abs(solved.theta_star - golden.theta_star) <= 1e-6 * width
+        assert abs(solved.theta_star - zoom.theta_star) <= 1e-6 * width
     sizing = min_sensors(scenario, 1e-6, 10_000)
     worst = worst_case_pmd(scenario_with_sensors(scenario, sizing.M_min))
     assert math.isfinite(worst.r) and worst.Q <= 1e-6
@@ -407,15 +348,3 @@ def test_worst_case_decreases_with_sensor_count():
         if previous is not None:
             assert value < previous
         previous = value
-
-
-def test_solve_refuses_custom_family():
-    # only the closed-form families have a solver; a duck-typed transient
-    # is for maximize_unimodal alone
-    scenario = dataclasses.replace(
-        make_scenario("reciprocal", theta_min=0.2, theta_max=1.5),
-        transient=LinearTransient(A=1.5),
-    )
-    for call in (solve, worst_case_pmd, lambda s: min_sensors(s, 0.05, 100)):
-        with pytest.raises(UnsupportedFamilyError, match="linear_toy"):
-            call(scenario)
